@@ -7,6 +7,7 @@ from .errors import (
     EmptySet,
     HypothesisViolation,
     IndexOutOfRange,
+    InvalidArgument,
     KTooLarge,
     ModulusMismatch,
     ModulusTooSmall,

@@ -18,6 +18,7 @@ from .errors import (
     CeilingExceeded,
     CompositeModulus,
     HypothesisViolation,
+    InvalidArgument,
     ModulusMismatch,
     NotVanishing,
     SumsetLabError,
@@ -27,8 +28,6 @@ from .nullstellensatz import cn_decompose, verify_witness
 from .poly import BiPoly, build_locus_poly
 from .sets import FpSet, classify_pair, restricted_sumset, sumset
 from .sweep import (
-    DEFAULT_BOUNDS_CEILING,
-    DEFAULT_THEOREM_CEILING,
     report_to_json,
     verify_bounds,
     verify_karolyi_inverse,
@@ -201,30 +200,16 @@ def cmd_audit(args) -> int:
 
 def cmd_verify(args) -> int:
     prime = _parse_prime(args.prime)
-    ceiling = args.ceiling
+    # each sweep applies its own default ceiling unless --ceiling is given
+    guard = {} if args.ceiling is None else {"ceiling": args.ceiling}
     if args.theorem == "bounds":
-        if ceiling is None:
-            ceiling = DEFAULT_BOUNDS_CEILING
-        try:
-            report = verify_bounds(prime, workers=args.workers, ceiling=ceiling)
-        except CeilingExceeded as exc:
-            print(f"guard: {exc} (raise with --ceiling)", file=sys.stderr)
-            return EXIT_GUARD
+        report = verify_bounds(prime, workers=args.workers, **guard)
         summary = (
             f"bounds p={report.p}: {len(report.violations)} violations "
             f"over {report.pairs_scanned} ordered pairs "
             f"[{report.wall_time:.2f}s]"
         )
     else:
-        if ceiling is None:
-            ceiling = DEFAULT_THEOREM_CEILING
-        if prime.value > ceiling:
-            print(
-                f"guard: p = {prime.value} above the exhaustive ceiling {ceiling} "
-                "(raise with --ceiling)",
-                file=sys.stderr,
-            )
-            return EXIT_GUARD
         if args.k is None:
             raise _ParseFailure("-k is required for this sweep")
         runner = verify_main_theorem if args.theorem == "main" else verify_karolyi_inverse
@@ -234,6 +219,7 @@ def cmd_verify(args) -> int:
             workers=args.workers,
             prune=not args.no_prune,
             target=args.target,
+            **guard,
         )
         name = "counterexamples" if args.theorem == "main" else "exceptions"
         qualifier = "" if report.expectation_checked else " (hypotheses unmet; recorded only)"
@@ -325,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ceiling", type=int, default=None,
                     help="exhaustive ceiling override for p")
     sp.add_argument("--no-prune", action="store_true",
-                    help="disable affine canonical pruning")
+                    help="scan every A, not only affine orbit representatives")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("enumerate", help="stream k-subsets in lexicographic order")
@@ -342,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ParseFailure as exc:
+    except (_ParseFailure, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
@@ -355,7 +341,7 @@ def main(argv=None) -> int:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except CeilingExceeded as exc:
-        print(f"guard: {exc}", file=sys.stderr)
+        print(f"guard: {exc} (raise with --ceiling)", file=sys.stderr)
         return EXIT_GUARD
     except SumsetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

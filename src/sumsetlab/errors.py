@@ -69,5 +69,9 @@ class KTooLarge(SumsetLabError):
     """Requested subset size exceeds the field size."""
 
 
+class InvalidArgument(SumsetLabError, ValueError):
+    """A size, index, target or worker count lies outside its valid range."""
+
+
 class CeilingExceeded(SumsetLabError):
     """A sweep was requested above the configured exhaustive ceiling."""

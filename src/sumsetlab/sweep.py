@@ -3,15 +3,18 @@
 Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
-sweep over all nonempty pairs. Scans run on bitmasks with an early-exit
-accumulator; work is sharded into contiguous outer-index ranges so reports
-are byte-identical for any worker count.
+sweep over all nonempty pairs. The first two share one bitmask engine: A
+runs over affine-orbit representatives (every k-subset when unpruned), dealt
+to shards by stride, and a depth-first walk over B in increasing order cuts
+each branch whose restricted sumset outgrows the target. Hits are deduplicated
+up to affine maps and swap, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -19,7 +22,7 @@ from math import comb
 from typing import Iterator
 
 from .audit import AuditTrace, audit_sigma_chain
-from .errors import CeilingExceeded, KTooLarge
+from .errors import CeilingExceeded, InvalidArgument, KTooLarge
 from .field import Prime, as_prime
 from .sets import (
     ApWitness,
@@ -47,7 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_BOUNDS_CEILING = 13
-DEFAULT_THEOREM_CEILING = 17
+DEFAULT_THEOREM_CEILING = 19
 
 
 def _unrank_combination(n: int, k: int, idx: int) -> list[int]:
@@ -72,11 +75,11 @@ def enumerate_k_subsets(p: Prime | int, k: int, start: int = 0) -> Iterator[FpSe
     prime = as_prime(p)
     n = prime.value
     if k < 1:
-        raise ValueError(f"subset size must be positive, got {k}")
+        raise InvalidArgument(f"subset size must be positive, got {k}")
     if k > n:
         raise KTooLarge(f"no {k}-subsets of a {n}-element field")
     if start < 0:
-        raise ValueError("start index must be nonnegative")
+        raise InvalidArgument(f"start index must be nonnegative, got {start}")
     if start >= comb(n, k):
         return
     cur = _unrank_combination(n, k, start)
@@ -190,28 +193,6 @@ def report_to_json(report: SweepReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _subset_masks(n: int, k: int) -> list[int]:
-    masks = []
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        masks.append(m)
-    return masks
-
-
-def _canonical_elements(elems: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # least sorted image under x -> lam*x + mu; the winner always contains 0
-    best = None
-    for lam in range(1, p):
-        mapped = sorted(lam * e % p for e in elems)
-        for t in mapped:
-            cand = tuple(sorted((x - t) % p for x in mapped))
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def _canonical_unordered(a: FpSet, b: FpSet) -> tuple[FpSet, FpSet]:
     c1 = canonical_pair(a, b)
     c2 = canonical_pair(b, a)
@@ -220,23 +201,18 @@ def _canonical_unordered(a: FpSet, b: FpSet) -> tuple[FpSet, FpSet]:
     return c1.sets if key1 <= key2 else c2.sets
 
 
-def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
-    shards = max(1, min(shards, total)) if total else 1
-    step, extra = divmod(total, shards)
-    ranges = []
-    lo = 0
-    for s in range(shards):
-        hi = lo + step + (1 if s < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+def _pool_size(workers: int, tasks: int) -> int:
+    # a forking pool starts every worker up front: clamp to CPUs and tasks
+    if workers < 1:
+        raise InvalidArgument(f"workers must be at least 1, got {workers}")
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
 def _triangle_ranges(total: int, shards: int) -> list[tuple[int, int]]:
-    # balance contiguous outer ranges by the triangular inner-loop weight
-    shards = max(1, min(shards, total)) if total else 1
+    # balance contiguous outer ranges by the triangular inner-loop weight;
+    # _pool_size keeps 1 <= shards <= total
     weights = [total - i for i in range(total)]
-    goal = sum(weights) / shards if shards else 1
+    goal = sum(weights) / shards
     ranges = []
     lo = 0
     acc = 0.0
@@ -250,48 +226,72 @@ def _triangle_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _extremal_shard(args) -> tuple[int, list[tuple[int, int]]]:
-    p, target, a_masks, all_masks, lo, hi, prune = args
-    full = (1 << p) - 1
+def _is_orbit_rep(mask: int, elems: tuple[int, ...], p: int, full: int) -> bool:
+    # A (containing 0) is the lex-least image lam*A+mu of its orbit; equal-size
+    # X <lex Y iff the lowest bit of X^Y is in X, and only images with 0 compete
+    for lam in range(1, p):
+        dilated = [lam * e % p for e in elems]
+        image = sum(1 << t for t in dilated)
+        for t in dilated:
+            shifted = _rotate(image, -t % p, p, full)
+            diff = shifted ^ mask
+            if diff & -diff & shifted:
+                return False
+    return True
+
+
+def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[int]:
+    # every k-subset B with |A+.B| = target, walking B in increasing order;
+    # A+.B only grows with B (so overfull branches are cut) and never passes p
+    if target > p:
+        return []
+    grow = [_rotate(a_mask & ~(1 << b), b, p, full) for b in range(p)]
     hits = []
-    scanned = 0
+
+    def extend(acc: int, b_mask: int, lo: int, left: int) -> None:
+        for b in range(lo, p - left + 1):
+            acc_b = acc | grow[b]
+            size = acc_b.bit_count()
+            if size > target:
+                continue
+            if left > 1:
+                extend(acc_b, b_mask | 1 << b, b + 1, left - 1)
+            elif size == target:
+                hits.append(b_mask | 1 << b)
+
+    extend(0, 0, 0, k)
+    return hits
+
+
+def _outer_masks(p: int, k: int, prune: bool, shard: int, shards: int) -> Iterator[int]:
+    # one shard's strided share of the outer sets A: orbit representatives
+    # (which all contain 0) when pruning, every k-subset otherwise
+    full = (1 << p) - 1
     if prune:
-        for ai in range(lo, hi):
-            a_mask = a_masks[ai]
-            a_elems = _mask_elements(a_mask)
-            for b_mask in all_masks:
-                scanned += 1
-                acc = 0
-                for e in a_elems:
-                    acc |= _rotate(b_mask & ~(1 << e), e, p, full)
-                    if acc.bit_count() > target:
-                        acc = -1
-                        break
-                if acc != -1 and acc.bit_count() == target:
-                    hits.append((a_mask, b_mask))
+        outer = ((0, *rest) for rest in itertools.combinations(range(1, p), k - 1))
     else:
-        n = len(all_masks)
-        for ai in range(lo, hi):
-            a_mask = all_masks[ai]
-            a_elems = _mask_elements(a_mask)
-            for bi in range(ai, n):
-                b_mask = all_masks[bi]
-                scanned += 1 if bi == ai else 2
-                acc = 0
-                for e in a_elems:
-                    acc |= _rotate(b_mask & ~(1 << e), e, p, full)
-                    if acc.bit_count() > target:
-                        acc = -1
-                        break
-                if acc != -1 and acc.bit_count() == target:
-                    hits.append((a_mask, b_mask))
-    return scanned, hits
+        outer = itertools.combinations(range(p), k)
+    for elems in itertools.islice(outer, shard, None, shards):
+        mask = sum(1 << e for e in elems)
+        if not prune or _is_orbit_rep(mask, elems, p, full):
+            yield mask
 
 
-def _run_shards(worker, arg_list, workers: int):
-    if workers <= 1 or len(arg_list) <= 1:
+def _extremal_shard(args) -> tuple[int, list[tuple[int, int]]]:
+    p, k, target, prune, shard, shards = args
+    full = (1 << p) - 1
+    walked = 0
+    hits = []
+    for a_mask in _outer_masks(p, k, prune, shard, shards):
+        walked += 1
+        hits.extend((a_mask, b) for b in _extremal_bs(a_mask, p, k, target, full))
+    return walked, hits
+
+
+def _run_shards(worker, arg_list):
+    if len(arg_list) <= 1:
         return [worker(args) for args in arg_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(arg_list)) as pool:
         return list(pool.map(worker, arg_list))
 
 
@@ -299,22 +299,13 @@ def _scan_extremal_pairs(
     prime: Prime, k: int, target: int, prune: bool, workers: int
 ) -> tuple[int, list[PairRecord]]:
     p = prime.value
-    all_masks = _subset_masks(p, k)
-    if prune:
-        a_masks = [
-            m
-            for m in all_masks
-            if _canonical_elements(_mask_elements(m), p) == _mask_elements(m)
-        ]
-    else:
-        a_masks = all_masks
-    ranges = _shard_ranges(len(a_masks), workers) if prune else _triangle_ranges(
-        len(all_masks), workers
-    )
-    arg_list = [(p, target, a_masks, all_masks, lo, hi, prune) for lo, hi in ranges]
-    results = _run_shards(_extremal_shard, arg_list, workers)
+    outer = comb(p - 1, k - 1) if prune else comb(p, k)
+    shards = _pool_size(workers, outer)
+    arg_list = [(p, k, target, prune, s, shards) for s in range(shards)]
+    results = _run_shards(_extremal_shard, arg_list)
 
-    scanned = sum(r[0] for r in results)
+    # logical count: every walked A is paired with all C(p, k) sets B
+    scanned = sum(r[0] for r in results) * comb(p, k)
     seen = {}
     for _, hits in results:
         for a_mask, b_mask in hits:
@@ -326,11 +317,26 @@ def _scan_extremal_pairs(
     return scanned, records
 
 
-def _check_theorem_args(prime: Prime, k: int):
+def _check_ceiling(prime: Prime, ceiling: int) -> None:
+    if prime.value > ceiling:
+        raise CeilingExceeded(
+            f"p = {prime.value} above the exhaustive ceiling {ceiling}"
+        )
+
+
+def _theorem_target(
+    prime: Prime, k: int, target: int | None, default: int, ceiling: int
+) -> int:
+    # validate a theorem sweep's arguments and resolve its target size; the
+    # size 0 is attainable (k = 1, A = B) and is main's default there
     if k < 1:
-        raise ValueError(f"subset size must be positive, got {k}")
+        raise InvalidArgument(f"subset size must be positive, got {k}")
     if k > prime.value:
         raise KTooLarge(f"no {k}-subsets of a {prime.value}-element field")
+    if target is not None and not 0 <= target <= prime.value:
+        raise InvalidArgument(f"target size must lie in 0..{prime.value}, got {target}")
+    _check_ceiling(prime, ceiling)
+    return default if target is None else target
 
 
 def verify_main_theorem(
@@ -340,6 +346,7 @@ def verify_main_theorem(
     workers: int = 1,
     prune: bool = True,
     target: int | None = None,
+    ceiling: int = DEFAULT_THEOREM_CEILING,
 ) -> SweepReport:
     """Scan every pair of k-subsets attaining restricted size 2k-2.
 
@@ -352,9 +359,7 @@ def verify_main_theorem(
     unpruned scans produce identical lists.
     """
     prime = as_prime(p)
-    _check_theorem_args(prime, k)
-    if target is None:
-        target = 2 * k - 2
+    target = _theorem_target(prime, k, target, 2 * k - 2, ceiling)
     started = time.perf_counter()
     scanned, records = _scan_extremal_pairs(prime, k, target, prune, workers)
     flags = {
@@ -395,6 +400,7 @@ def verify_karolyi_inverse(
     workers: int = 1,
     prune: bool = True,
     target: int | None = None,
+    ceiling: int = DEFAULT_THEOREM_CEILING,
 ) -> SweepReport:
     """Scan pairs attaining restricted size 2k-3 and check both directions.
 
@@ -404,9 +410,7 @@ def verify_karolyi_inverse(
     either direction land in the counterexample list.
     """
     prime = as_prime(p)
-    _check_theorem_args(prime, k)
-    if target is None:
-        target = 2 * k - 3
+    target = _theorem_target(prime, k, target, 2 * k - 3, ceiling)
     started = time.perf_counter()
     scanned, records = _scan_extremal_pairs(prime, k, target, prune, workers)
     exceptions = [
@@ -442,7 +446,6 @@ def verify_karolyi_inverse(
 def _bounds_shard(args) -> tuple[int, list[tuple[int, int, str, int, int]]]:
     p, lo, hi = args
     full = (1 << p) - 1
-    n = full  # masks 1..full, index i holds mask i+1
     violations = []
     scanned = 0
     for i in range(lo, hi):
@@ -489,15 +492,12 @@ def verify_bounds(
     expected at any prime; guarded by an exhaustive ceiling.
     """
     prime = as_prime(p)
-    if prime.value > ceiling:
-        raise CeilingExceeded(
-            f"p = {prime.value} above the exhaustive ceiling {ceiling}"
-        )
+    _check_ceiling(prime, ceiling)
     started = time.perf_counter()
     total = (1 << prime.value) - 1
-    ranges = _triangle_ranges(total, workers)
+    ranges = _triangle_ranges(total, _pool_size(workers, total))
     arg_list = [(prime.value, lo, hi) for lo, hi in ranges]
-    results = _run_shards(_bounds_shard, arg_list, workers)
+    results = _run_shards(_bounds_shard, arg_list)
     scanned = sum(r[0] for r in results)
     violations = []
     for _, shard_violations in results:

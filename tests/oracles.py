@@ -78,3 +78,47 @@ def all_subsets(p, min_size=1):
     universe = range(p)
     for size in range(min_size, p + 1):
         yield from itertools.combinations(universe, size)
+
+
+def burnside_orbit_count(p, k):
+    """Orbits of the maps x -> lam*x + mu (lam != 0) on k-subsets, by Burnside.
+
+    Each map fixes exactly the k-subsets that are unions of its cycles; the
+    cycles are found by iterating the map and the unions of total size k are
+    counted by a subset-sum table. The orbit count is the mean over all maps.
+    """
+    fixed = 0
+    for lam in range(1, p):
+        for mu in range(p):
+            ways = [1] + [0] * k
+            seen = set()
+            for x in range(p):
+                length = 0
+                while x not in seen:
+                    seen.add(x)
+                    x = (lam * x + mu) % p
+                    length += 1
+                if length:
+                    ways = [ways[s] + (ways[s - length] if s >= length else 0)
+                            for s in range(k + 1)]
+            fixed += ways[k]
+    group = p * (p - 1)
+    assert fixed % group == 0
+    return fixed // group
+
+
+def brute_orbit_reps(p, k):
+    """Lex-least sorted image of every affine orbit on k-subsets."""
+    reps = set()
+    done = set()
+    for subset in itertools.combinations(range(p), k):
+        if subset in done:
+            continue
+        orbit = {
+            tuple(sorted((lam * x + mu) % p for x in subset))
+            for lam in range(1, p)
+            for mu in range(p)
+        }
+        done |= orbit
+        reps.add(min(orbit))
+    return reps

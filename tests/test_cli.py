@@ -153,6 +153,34 @@ def test_verify_ceiling_guard(capsys):
     assert main(["verify", "main", "-p", "101", "-k", "40"]) == 4
     assert "ceiling" in capsys.readouterr().err
     assert main(["verify", "bounds", "-p", "17"]) == 4
+    assert main(["verify", "main", "-p", "23", "-k", "3"]) == 4
+    assert main(["verify", "karolyi", "-p", "13", "-k", "5", "--ceiling", "11"]) == 4
+    assert "raise with --ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-p", "7", "-k", "0"],
+        ["enumerate", "-p", "7", "-k", "2", "--start", "-1"],
+        ["verify", "main", "-p", "11", "-k", "0"],
+        ["verify", "main", "-p", "11", "-k", "4", "--target", "100"],
+        ["verify", "main", "-p", "11", "-k", "4", "--target", "-5"],
+        ["verify", "main", "-p", "11", "-k", "4", "--workers", "0"],
+        ["verify", "bounds", "-p", "7", "--workers", "-2"],
+    ],
+    ids=[
+        "enumerate-k0", "enumerate-start-negative", "verify-k0", "target-above-p",
+        "target-negative", "workers-zero", "bounds-workers-negative",
+    ],
+)
+def test_out_of_range_input_exits_two(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    if argv[0] == "verify":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_boundary_prime_records_but_does_not_fail(tmp_path, capsys):

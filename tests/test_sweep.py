@@ -7,6 +7,7 @@ import pytest
 from sumsetlab import (
     CeilingExceeded,
     FpSet,
+    InvalidArgument,
     KTooLarge,
     Prime,
     audit_all_extremal,
@@ -19,9 +20,25 @@ from sumsetlab import (
     verify_karolyi_inverse,
     verify_main_theorem,
 )
-from sumsetlab.sets import canonical_pair
+from sumsetlab import sweep
+from sumsetlab.sets import _mask_elements, canonical_pair
+from sumsetlab.sweep import (
+    DEFAULT_THEOREM_CEILING,
+    _extremal_shard,
+    _outer_masks,
+    _pool_size,
+)
 
-from oracles import brute_restricted, brute_sumset
+from oracles import (
+    brute_orbit_reps,
+    brute_restricted,
+    brute_sumset,
+    burnside_orbit_count,
+)
+
+
+def _mask(elems):
+    return sum(1 << e for e in elems)
 
 
 def test_enumerate_counts_and_order():
@@ -45,6 +62,8 @@ def test_enumerate_guards():
         list(enumerate_k_subsets(5, 6))
     with pytest.raises(ValueError):
         list(enumerate_k_subsets(5, 0))
+    with pytest.raises(InvalidArgument):
+        list(enumerate_k_subsets(5, 2, start=-1))
 
 
 def test_main_theorem_small_sweep():
@@ -85,14 +104,93 @@ def test_main_theorem_boundary_prime_has_recorded_counterexamples():
 
 
 def test_pruning_soundness():
-    pruned = verify_main_theorem(11, 4, prune=True)
-    unpruned = verify_main_theorem(11, 4, prune=False)
+    # reports agree apart from the pruning flag and the logical pair count,
+    # also at the boundary p = 2k-1 (which has counterexamples) and at a
+    # non-default target
+    for p, k, target in ((11, 4, None), (11, 6, None), (11, 4, 6)):
+        docs = {}
+        for prune in (True, False):
+            report = verify_main_theorem(p, k, prune=prune, target=target)
+            docs[prune] = json.loads(report_to_json(report))
+            assert docs[prune].pop("pruned") is prune
+        reps = burnside_orbit_count(p, k)
+        assert docs[True].pop("pairs_scanned") == reps * comb(p, k)
+        assert docs[False].pop("pairs_scanned") == comb(p, k) ** 2
+        assert docs[True] == docs[False]
+        assert docs[True]["extremal_pair_count"] > 0
+    assert docs[True]["target_size"] == 6
 
-    def keys(records):
-        return [(r.a.elements, r.b.elements) for r in records]
 
-    assert keys(pruned.extremal_pairs) == keys(unpruned.extremal_pairs)
-    assert keys(pruned.counterexamples) == keys(unpruned.counterexamples)
+def test_orbit_reps_match_burnside_count():
+    expected = {(13, 6): 14, (17, 7): 75, (17, 8): 95, (19, 8): 228, (19, 9): 280}
+    for (p, k), count in expected.items():
+        assert burnside_orbit_count(p, k) == count
+        assert sum(1 for _ in _outer_masks(p, k, True, 0, 1)) == count
+
+
+def test_orbit_reps_are_lex_least_images():
+    for p in (2, 3, 5, 7, 11):
+        for k in range(1, p + 1):
+            reps = [_mask_elements(m) for m in _outer_masks(p, k, True, 0, 1)]
+            assert len(reps) == len(set(reps))
+            assert set(reps) == brute_orbit_reps(p, k)
+
+
+def test_strided_shards_partition_outer_sets():
+    for prune in (True, False):
+        whole = list(_outer_masks(13, 5, prune, 0, 1))
+        for shards in (2, 3, 7):
+            parts = [m for s in range(shards) for m in _outer_masks(13, 5, prune, s, shards)]
+            assert sorted(parts) == sorted(whole)
+
+
+def test_unpruned_walk_matches_naive_double_loop():
+    p = 7
+    for k in range(1, p + 1):
+        subsets = list(itertools.combinations(range(p), k))
+        by_size = {}
+        for a in subsets:
+            for b in subsets:
+                size = len(brute_restricted(a, b, p))
+                by_size.setdefault(size, []).append((_mask(a), _mask(b)))
+        for target in range(p + 2):  # p + 1 is main's default target at k = 5
+            walked, hits = _extremal_shard((p, k, target, False, 0, 1))
+            assert walked == len(subsets)
+            assert sorted(hits) == sorted(by_size.get(target, []))
+
+
+def test_pool_size_clamps_to_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    assert _pool_size(1, 100) == 1
+    assert _pool_size(10**6, 100) == 4
+    assert _pool_size(3, 2) == 2
+    assert _pool_size(3, 0) == 1
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1
+    for workers in (0, -5):
+        with pytest.raises(InvalidArgument):
+            _pool_size(workers, 100)
+
+
+def test_theorem_sweep_argument_guards():
+    for kwargs in ({"target": 12}, {"target": -1}, {"workers": 0}):
+        with pytest.raises(InvalidArgument):
+            verify_main_theorem(11, 4, **kwargs)
+        with pytest.raises(InvalidArgument):
+            verify_karolyi_inverse(11, 4, **kwargs)
+    with pytest.raises(InvalidArgument):
+        verify_main_theorem(11, 0)
+    with pytest.raises(KTooLarge):
+        verify_karolyi_inverse(5, 6)
+
+
+def test_theorem_ceiling_guard():
+    assert DEFAULT_THEOREM_CEILING == 19
+    with pytest.raises(CeilingExceeded):
+        verify_main_theorem(23, 3)
+    with pytest.raises(CeilingExceeded):
+        verify_karolyi_inverse(13, 5, ceiling=11)
+    assert verify_main_theorem(7, 3, ceiling=7).passed
 
 
 def test_unpruned_scan_counts_ordered_pairs():
