@@ -13,13 +13,12 @@ from .errors import (
     ModulusTooSmall,
     NotSplitting,
     NotVanishing,
-    OddSize,
     SumsetLabError,
     ZeroDilation,
     ZeroInverse,
     ZeroPolynomial,
 )
-from .field import FieldElement, Prime, binomial_mod, inverse, inverse_mod, is_prime
+from .field import Prime, binomial_mod, inverse_mod, is_prime
 from .sets import (
     ApWitness,
     CanonicalPair,
@@ -41,7 +40,6 @@ from .poly import (
     cij_exact,
     elementary_symmetric,
     homogeneous_components,
-    pi_poly,
     roots_over_fp,
     sigma_expansion,
     splits_with_distinct_roots,

@@ -158,7 +158,7 @@ def audit_top_layer(
     pv = p.value
     records = []
     for t in range(k):
-        expected = cij(2 * k - 1, k + t, p).residue
+        expected = cij(2 * k - 1, k + t, p)
         a = grid_a.entry(k - 1, t)
         b = grid_b.entry(k - 1, t)
         records.append(
@@ -276,7 +276,7 @@ def _even_step(i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, records)
         )
     )
     # rho: the low identity with its two top terms split off
-    rho = sig_c[i] * cij(2 * k - 2 * r - 1, k - r - 1, prime).residue
+    rho = sig_c[i] * cij(2 * k - 2 * r - 1, k - r - 1, prime)
     for j in range(r):
         rho -= _sign(r + j, p) * sig_b[r + j] * grid_b.entry(k - r - 1 + j, j)
     for j in range(r - 1):

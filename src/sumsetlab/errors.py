@@ -33,10 +33,6 @@ class IndexOutOfRange(SumsetLabError):
     """Coefficient index outside the valid triangular range."""
 
 
-class OddSize(SumsetLabError):
-    """Strict even-size mode rejected an odd-sized set."""
-
-
 class ZeroPolynomial(SumsetLabError):
     """Root finding on the zero polynomial is undefined."""
 
@@ -65,12 +61,12 @@ class NotSplitting(SumsetLabError):
     """A power-sum profile does not come from a set: too few distinct roots."""
 
 
-class KTooLarge(SumsetLabError):
-    """Requested subset size exceeds the field size."""
-
-
 class InvalidArgument(SumsetLabError, ValueError):
     """A size, index, target or worker count lies outside its valid range."""
+
+
+class KTooLarge(InvalidArgument):
+    """Requested subset size exceeds the field size."""
 
 
 class CeilingExceeded(SumsetLabError):

@@ -1,8 +1,7 @@
 """Exact arithmetic in the prime field Z/pZ.
 
-Residues are plain ints in [0, p). ``FieldElement`` pairs one residue with
-its modulus and overloads the arithmetic operators; mixing moduli raises
-``ModulusMismatch``. Factorial tables are cached per prime so binomial
+Residues are plain ints in [0, p); a ``Prime`` is a modulus checked prime
+at construction. Factorial tables are cached per prime so binomial
 coefficients cost O(1) after first use.
 """
 
@@ -11,14 +10,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CompositeModulus, ModulusMismatch, ModulusTooSmall, ZeroInverse
+from .errors import CompositeModulus, ModulusTooSmall, ZeroInverse
 
 __all__ = [
     "Prime",
-    "FieldElement",
     "as_prime",
     "is_prime",
-    "inverse",
     "inverse_mod",
     "binomial_mod",
 ]
@@ -49,10 +46,6 @@ class Prime:
     def __post_init__(self):
         if not is_prime(self.value):
             raise CompositeModulus(f"modulus {self.value} is not prime")
-
-    def element(self, value: int) -> "FieldElement":
-        """Reduce an arbitrary integer into this field."""
-        return FieldElement(value % self.value, self)
 
     def __int__(self) -> int:
         return self.value
@@ -91,77 +84,6 @@ def inverse_mod(a: int, p: int) -> int:
     return s % p
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A fully reduced residue together with its prime modulus."""
-
-    residue: int
-    modulus: Prime
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.modulus.value:
-            raise ValueError(
-                f"residue {self.residue} not reduced mod {self.modulus.value}"
-            )
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, int):
-            return self.modulus.element(other)
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ModulusMismatch(
-                f"mixed moduli {self.modulus.value} and {other.modulus.value}"
-            )
-        return other
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement((self.residue + o.residue) % self.modulus.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement((self.residue - o.residue) % self.modulus.value, self.modulus)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement((self.residue * o.residue) % self.modulus.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement((-self.residue) % self.modulus.value, self.modulus)
-
-    def __truediv__(self, other):
-        return self * inverse(self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: int):
-        base = self if exponent >= 0 else inverse(self)
-        return self.modulus.element(pow(base.residue, abs(exponent), self.modulus.value))
-
-    def __int__(self) -> int:
-        return self.residue
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __repr__(self) -> str:
-        return f"{self.residue} (mod {self.modulus.value})"
-
-
-def inverse(a: FieldElement) -> FieldElement:
-    """The x with a*x == 1; raises ZeroInverse on a == 0."""
-    return FieldElement(inverse_mod(a.residue, a.modulus.value), a.modulus)
-
-
 @functools.lru_cache(maxsize=None)
 def _factorial_table(p: int) -> tuple[int, ...]:
     # n! mod p for 0 <= n <= p-1; every closed form we evaluate stays below p
@@ -171,7 +93,7 @@ def _factorial_table(p: int) -> tuple[int, ...]:
     return tuple(fact)
 
 
-def binomial_mod(n: int, r: int, p: Prime | int) -> FieldElement:
+def binomial_mod(n: int, r: int, p: Prime | int) -> int:
     """C(n, r) mod p via factorial tables; requires n < p, returns 0 for r > n."""
     prime = as_prime(p)
     if n < 0 or r < 0:
@@ -179,7 +101,7 @@ def binomial_mod(n: int, r: int, p: Prime | int) -> FieldElement:
     if n >= prime.value:
         raise ModulusTooSmall(f"C({n}, {r}) mod {prime.value} needs n < p")
     if r > n:
-        return prime.element(0)
+        return 0
     fact = _factorial_table(prime.value)
     den = fact[r] * fact[n - r] % prime.value
-    return prime.element(fact[n] * inverse_mod(den, prime.value))
+    return fact[n] * inverse_mod(den, prime.value) % prime.value

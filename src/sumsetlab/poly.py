@@ -12,14 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmptySet,
-    IndexOutOfRange,
-    ModulusMismatch,
-    OddSize,
-    ZeroPolynomial,
-)
-from .field import FieldElement, Prime, as_prime, binomial_mod
+from .errors import EmptySet, IndexOutOfRange, ModulusMismatch, ZeroPolynomial
+from .field import Prime, as_prime, binomial_mod
 from .sets import FpSet
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "homogeneous_components",
     "cij",
     "cij_exact",
-    "pi_poly",
     "sigma_expansion",
     "roots_over_fp",
     "splits_with_distinct_roots",
@@ -369,20 +362,22 @@ def homogeneous_components(f: BiPoly) -> list[BiPoly]:
     return [f.homogeneous_component(d) for d in range(f.total_degree + 1)]
 
 
-def cij(i: int, j: int, p: Prime | int) -> FieldElement:
+def cij(i: int, j: int, p: Prime | int) -> int:
     """Coefficient of x**j y**(i-j) in (x - y)(x + y)**(i-1), mod p.
 
-    Edge columns are +-1; interior columns are the binomial difference
-    C(i-1, j-1) - C(i-1, j). Requires 1 <= i and 0 <= j <= i.
+    This table is the only form of the antisymmetric kernel the library
+    builds. Edge columns are +-1; interior columns are the binomial
+    difference C(i-1, j-1) - C(i-1, j). Requires 1 <= i and 0 <= j <= i.
     """
     prime = as_prime(p)
     if i < 1 or j < 0 or j > i:
         raise IndexOutOfRange(f"no coefficient at (i, j) = ({i}, {j})")
     if j == i:
-        return prime.element(1)
+        return 1
     if j == 0:
-        return prime.element(-1)
-    return binomial_mod(i - 1, j - 1, prime) - binomial_mod(i - 1, j, prime)
+        return prime.value - 1
+    diff = binomial_mod(i - 1, j - 1, prime) - binomial_mod(i - 1, j, prime)
+    return diff % prime.value
 
 
 def cij_exact(i: int, j: int) -> int:
@@ -396,34 +391,24 @@ def cij_exact(i: int, j: int) -> int:
     return math.comb(i - 1, j - 1) - math.comb(i - 1, j)
 
 
-def pi_poly(i: int, p: Prime | int) -> BiPoly:
-    """(x - y)(x + y)**(i-1), homogeneous of degree i, by direct expansion."""
-    prime = as_prime(p)
-    if i < 1:
-        raise IndexOutOfRange("degree must be at least 1")
-    f = BiPoly.of(prime, [[0, -1], [1, 0]])  # x - y
-    plus = BiPoly.of(prime, [[0, 1], [1, 0]])  # x + y
-    for _ in range(i - 1):
-        f = f * plus
-    return f
-
-
-def sigma_expansion(c: FpSet, require_even_size: bool = False) -> BiPoly:
+def sigma_expansion(c: FpSet) -> BiPoly:
     """Rebuild the locus polynomial of c from its symmetric function values.
 
-    Returns sum over i of (-1)**i e_i(c) (x - y)(x + y)**(|c| - i), which
-    must equal build_locus_poly(c) identically. Works for any set size;
-    require_even_size enforces the |c| = 2k-2 shape of the extremal setting.
+    Returns the sum over 0 <= i <= m = |c| of (-1)**i e_i(c) times the kernel
+    (x - y)(x + y)**(m - i), which must equal build_locus_poly(c)
+    identically. Each kernel is homogeneous of degree d = m + 1 - i, so its
+    coefficients cij(d, j) land directly at x**j y**(d - j).
     """
+    prime = c.modulus
     m = len(c)
-    if require_even_size and m % 2 != 0:
-        raise OddSize(f"set size {m} is odd")
     sig = elementary_symmetric(c).values
-    total = BiPoly.zero(c.modulus)
+    table = [[0] * (m + 2) for _ in range(m + 2)]
     for i in range(m + 1):
-        sign = 1 if i % 2 == 0 else -1
-        total = total + pi_poly(m + 1 - i, c.modulus).scale(sign * sig[i])
-    return total
+        e = sig[i] if i % 2 == 0 else -sig[i]
+        d = m + 1 - i
+        for j in range(d + 1):
+            table[j][d - j] += e * cij(d, j, prime)
+    return BiPoly.of(prime, table)
 
 
 def roots_over_fp(q: UniPoly) -> FpSet:

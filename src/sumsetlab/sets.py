@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import EmptySet, ModulusMismatch, ZeroDilation
-from .field import FieldElement, Prime, as_prime
+from .field import Prime, as_prime
 
 __all__ = [
     "FpSet",
@@ -149,14 +149,14 @@ def restricted_sumset(a: FpSet, b: FpSet) -> FpSet:
 class ApWitness:
     """A progression {start + t*diff : 0 <= t < length} reproducing a set."""
 
-    start: FieldElement
-    diff: FieldElement
+    start: int
+    diff: int
     length: int
+    modulus: Prime
 
     def expand(self) -> FpSet:
-        p = self.start.modulus
-        s, d = self.start.residue, self.diff.residue
-        return FpSet.of(p, ((s + t * d) % p.value for t in range(self.length)))
+        s, d = self.start, self.diff
+        return FpSet.of(self.modulus, (s + t * d for t in range(self.length)))
 
 
 def _ap_candidates(s: FpSet) -> list[tuple[int, int]]:
@@ -196,37 +196,30 @@ def is_arithmetic_progression(s: FpSet) -> ApWitness | None:
     prime = s.modulus
     m = len(s)
     if m == 1:
-        return ApWitness(prime.element(s.elements[0]), prime.element(1), 1)
+        return ApWitness(s.elements[0], 1, 1, prime)
     if m == 2:
         lo, hi = s.elements
-        return ApWitness(prime.element(lo), prime.element(hi - lo), 2)
+        return ApWitness(lo, hi - lo, 2, prime)
     candidates = _ap_candidates(s)
     if not candidates:
         return None
     start, diff = min(candidates)
-    return ApWitness(prime.element(start), prime.element(diff), m)
+    return ApWitness(start, diff, m, prime)
 
 
-def affine_image(s: FpSet, lam: FieldElement | int, mu: FieldElement | int) -> FpSet:
-    """The image {lam*x + mu : x in s}; lam must be nonzero."""
-    prime = s.modulus
-    lam_r = lam.residue if isinstance(lam, FieldElement) else lam % prime.value
-    mu_r = mu.residue if isinstance(mu, FieldElement) else mu % prime.value
-    if isinstance(lam, FieldElement) and lam.modulus != prime:
-        raise ModulusMismatch("dilation factor over a different modulus")
-    if isinstance(mu, FieldElement) and mu.modulus != prime:
-        raise ModulusMismatch("offset over a different modulus")
-    if lam_r == 0:
+def affine_image(s: FpSet, lam: int, mu: int) -> FpSet:
+    """The image {lam*x + mu : x in s}; lam must be nonzero mod p."""
+    if lam % s.modulus.value == 0:
         raise ZeroDilation("affine dilation factor must be nonzero")
-    return FpSet.of(prime, ((lam_r * e + mu_r) % prime.value for e in s.elements))
+    return FpSet.of(s.modulus, (lam * e + mu for e in s.elements))
 
 
 @dataclass(frozen=True)
 class CanonicalPair:
     a: FpSet
     b: FpSet
-    lam: FieldElement
-    mu: FieldElement
+    lam: int
+    mu: int
 
     @property
     def sets(self) -> tuple[FpSet, FpSet]:
@@ -257,9 +250,7 @@ def canonical_pair(a: FpSet, b: FpSet) -> CanonicalPair:
             if best is None or key < best:
                 best = key
     at, bt, lam, mu = best
-    return CanonicalPair(
-        FpSet(prime, at), FpSet(prime, bt), prime.element(lam), prime.element(mu)
-    )
+    return CanonicalPair(FpSet(prime, at), FpSet(prime, bt), lam, mu)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import comb
@@ -111,8 +110,8 @@ class PairRecord:
         witness = None
         if self.ap_witness is not None:
             witness = {
-                "start": self.ap_witness.start.residue,
-                "diff": self.ap_witness.diff.residue,
+                "start": self.ap_witness.start,
+                "diff": self.ap_witness.diff,
                 "length": self.ap_witness.length,
             }
         return {
@@ -142,7 +141,7 @@ def make_pair_record(a: FpSet, b: FpSet) -> PairRecord:
 
 @dataclass
 class SweepReport:
-    """Everything one sweep produced; serialized fields are deterministic."""
+    """Everything one sweep produced; every field is deterministic."""
 
     kind: str
     p: int
@@ -155,8 +154,6 @@ class SweepReport:
     violations: list[dict] = dataclass_field(default_factory=list)
     hypothesis_flags: dict = dataclass_field(default_factory=dict)
     expectation_checked: bool = True
-    wall_time: float = 0.0
-    workers: int = 1
 
     @property
     def extremal_count(self) -> int:
@@ -172,8 +169,7 @@ class SweepReport:
 
 
 def report_to_json(report: SweepReport) -> str:
-    """Stable machine-readable document; volatile fields (wall time, worker
-    count) are deliberately excluded so identical sweeps diff clean."""
+    """Stable machine-readable document; identical sweeps diff clean."""
     doc = {
         "kind": report.kind,
         "p": report.p,
@@ -360,7 +356,6 @@ def verify_main_theorem(
     """
     prime = as_prime(p)
     target = _theorem_target(prime, k, target, 2 * k - 2, ceiling)
-    started = time.perf_counter()
     scanned, records = _scan_extremal_pairs(prime, k, target, prune, workers)
     flags = {
         "k_ge_5": k >= 5,
@@ -378,8 +373,6 @@ def verify_main_theorem(
         counterexamples=[r for r in records if not r.sets_equal],
         hypothesis_flags=flags,
         expectation_checked=flags["k_ge_5"] and flags["p_gt_2k_minus_1"],
-        wall_time=time.perf_counter() - started,
-        workers=workers,
     )
 
 
@@ -411,7 +404,6 @@ def verify_karolyi_inverse(
     """
     prime = as_prime(p)
     target = _theorem_target(prime, k, target, 2 * k - 3, ceiling)
-    started = time.perf_counter()
     scanned, records = _scan_extremal_pairs(prime, k, target, prune, workers)
     exceptions = [
         r for r in records if not (r.sets_equal and r.ap_witness is not None)
@@ -438,8 +430,6 @@ def verify_karolyi_inverse(
         counterexamples=exceptions,
         hypothesis_flags=flags,
         expectation_checked=flags["k_ge_5"] and flags["p_gt_2k_minus_3"],
-        wall_time=time.perf_counter() - started,
-        workers=workers,
     )
 
 
@@ -493,7 +483,6 @@ def verify_bounds(
     """
     prime = as_prime(p)
     _check_ceiling(prime, ceiling)
-    started = time.perf_counter()
     total = (1 << prime.value) - 1
     ranges = _triangle_ranges(total, _pool_size(workers, total))
     arg_list = [(prime.value, lo, hi) for lo, hi in ranges]
@@ -522,8 +511,6 @@ def verify_bounds(
         violations=violations,
         hypothesis_flags={},
         expectation_checked=True,
-        wall_time=time.perf_counter() - started,
-        workers=workers,
     )
 
 

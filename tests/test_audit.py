@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -44,9 +45,9 @@ def test_extract_grids_shape_and_values():
         assert len(grid_a.rows[i]) == i + 1
         assert len(grid_b.rows[i]) == i + 1
     # row k-1 matches the degree-(2k-1) expansion coefficients
-    assert grid_a.entry(4, 0) == cij(9, 5, P11).residue == 3
+    assert grid_a.entry(4, 0) == cij(9, 5, P11) == 3
     for t in range(5):
-        assert grid_a.entry(4, t) == cij(9, 5 + t, P11).residue
+        assert grid_a.entry(4, t) == cij(9, 5 + t, P11)
 
 
 def test_extract_grids_zero_padding_and_degree_guard():
@@ -78,9 +79,9 @@ def test_top_layer_nonzero_even_at_boundary_prime():
     # vanish; what vanishes there are the even-step denominators
     k, p = 6, 11
     for t in range(k):
-        assert cij(2 * k - 1, k + t, P11).residue != 0
+        assert cij(2 * k - 1, k + t, P11) != 0
     for r in range(1, k - 1):
-        total = cij(2 * k - 1, k - r, P11).residue + cij(2 * k - 1, k - r - 1, P11).residue
+        total = cij(2 * k - 1, k - r, P11) + cij(2 * k - 1, k - r - 1, P11)
         assert total % p == 0
 
 
@@ -100,6 +101,19 @@ def test_audit_clean_on_extremal_instance():
     lines = list(trace.iter_lines())
     assert len(lines) == len(trace.records)
     assert all("pass=true" in line for line in lines)
+
+
+def test_audit_trace_pinned_at_k18():
+    # one extremal set at the largest audited size: {0..18} without 17, whose
+    # restricted sumset has 34 elements mod 37; the sha256 pins every record
+    a = FpSet.of(Prime(37), [x for x in range(19) if x != 17])
+    assert len(restricted_sumset(a, a)) == 34
+    trace = audit_sigma_chain(a, a)
+    assert trace.clean and trace.sets_equal and len(trace.records) == 279
+    text = "\n".join(trace.iter_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e4c17b2d49ad8ee0160744dadd79e8870ed23e560aaac083823b463c12433960"
+    )
 
 
 def test_audit_even_denominator_values():

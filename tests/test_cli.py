@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,10 +170,13 @@ def test_verify_ceiling_guard(capsys):
         ["verify", "main", "-p", "11", "-k", "4", "--target", "-5"],
         ["verify", "main", "-p", "11", "-k", "4", "--workers", "0"],
         ["verify", "bounds", "-p", "7", "--workers", "-2"],
+        ["enumerate", "-p", "7", "-k", "8"],
+        ["verify", "main", "-p", "7", "-k", "8"],
     ],
     ids=[
         "enumerate-k0", "enumerate-start-negative", "verify-k0", "target-above-p",
         "target-negative", "workers-zero", "bounds-workers-negative",
+        "enumerate-k-above-p", "verify-k-above-p",
     ],
 )
 def test_out_of_range_input_exits_two(argv, tmp_path, capsys):
@@ -203,10 +208,14 @@ def test_enumerate_stream(capsys):
 
 
 def test_console_entry_subprocess():
+    # the child finds the package in the source tree, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "sumsetlab.cli", "sumset", "-p", "7", "-A", "1", "-B", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "A+B  (1): 3" in proc.stdout

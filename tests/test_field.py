@@ -2,13 +2,11 @@ import pytest
 
 from sumsetlab import (
     CompositeModulus,
-    FieldElement,
-    ModulusMismatch,
     ModulusTooSmall,
     Prime,
     ZeroInverse,
     binomial_mod,
-    inverse,
+    inverse_mod,
     is_prime,
 )
 
@@ -35,76 +33,35 @@ def test_is_prime_against_sieve():
 
 
 def test_inverse_examples():
-    p = Prime(11)
-    assert inverse(p.element(3)).residue == 4  # 3*4 = 12 = 1
-    assert inverse(p.element(1)).residue == 1
-    assert inverse(p.element(10)).residue == 10  # (-1)^2 = 1
+    assert inverse_mod(3, 11) == 4  # 3*4 = 12 = 1
+    assert inverse_mod(1, 11) == 1
+    assert inverse_mod(10, 11) == 10  # (-1)^2 = 1
+    assert inverse_mod(-8, 11) == 4  # arguments are reduced first
+    assert inverse_mod(25, 11) == 4
 
 
 def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroInverse):
-        inverse(Prime(7).element(0))
+    for a in (0, 7, -14):
+        with pytest.raises(ZeroInverse):
+            inverse_mod(a, 7)
 
 
 def test_inverse_agrees_with_fermat_exponentiation():
     for pv in (3, 5, 7, 11, 13, 101):
-        p = Prime(pv)
         for a in range(1, pv):
-            x = inverse(p.element(a)).residue
+            x = inverse_mod(a, pv)
             assert x == pow(a, pv - 2, pv)
-            assert a * x % pv == 1
-
-
-def test_mixed_moduli_rejected():
-    a = Prime(7).element(3)
-    b = Prime(11).element(3)
-    with pytest.raises(ModulusMismatch):
-        a + b
-    with pytest.raises(ModulusMismatch):
-        a * b
-
-
-def test_field_element_operators():
-    p = Prime(13)
-    a, b = p.element(9), p.element(7)
-    assert (a + b).residue == 3
-    assert (a - b).residue == 2
-    assert (a * b).residue == 63 % 13
-    assert (a / b).residue * 7 % 13 == 9
-    assert (-a).residue == 4
-    assert (a ** 0).residue == 1
-    assert (a ** -1).residue == inverse(a).residue
-    assert (2 + a).residue == 11
-    assert int(a) == 9
-
-
-def test_field_element_requires_reduced_residue():
-    with pytest.raises(ValueError):
-        FieldElement(13, Prime(13))
-
-
-def test_ring_laws_exhaustive_small_primes():
-    # associativity, commutativity, distributivity over every triple
-    for pv in (2, 3, 5, 7, 11, 13):
-        p = Prime(pv)
-        elems = [p.element(r) for r in range(pv)]
-        for a in elems:
-            for b in elems:
-                assert (a + b).residue == (b + a).residue
-                assert (a * b).residue == (b * a).residue
-                for c in elems:
-                    assert ((a + b) + c).residue == (a + (b + c)).residue
-                    assert ((a * b) * c).residue == (a * (b * c)).residue
-                    assert (a * (b + c)).residue == (a * b + a * c).residue
+            assert 0 <= x < pv and a * x % pv == 1
 
 
 def test_binomial_examples():
     p = Prime(11)
-    assert binomial_mod(8, 4, p).residue == 70 % 11  # = 4
-    assert binomial_mod(8, 4, p).residue == 4
+    assert binomial_mod(8, 4, p) == 70 % 11  # = 4
+    assert binomial_mod(8, 4, 11) == 4
+    assert type(binomial_mod(8, 4, p)) is int
     for n in range(7):
-        assert binomial_mod(n, 0, Prime(7)).residue == 1
-    assert binomial_mod(3, 5, Prime(7)).residue == 0
+        assert binomial_mod(n, 0, Prime(7)) == 1
+    assert binomial_mod(3, 5, Prime(7)) == 0
 
 
 def test_binomial_against_pascal_oracle():
@@ -114,7 +71,7 @@ def test_binomial_against_pascal_oracle():
         p = Prime(pv)
         for n in range(pv):
             for r in range(n + 1):
-                assert binomial_mod(n, r, p).residue == rows[n][r] % pv
+                assert binomial_mod(n, r, p) == rows[n][r] % pv
 
 
 def test_binomial_rejects_large_n():

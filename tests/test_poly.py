@@ -8,7 +8,6 @@ from sumsetlab import (
     EmptySet,
     FpSet,
     IndexOutOfRange,
-    OddSize,
     Prime,
     UniPoly,
     ZeroPolynomial,
@@ -17,7 +16,6 @@ from sumsetlab import (
     cij_exact,
     elementary_symmetric,
     homogeneous_components,
-    pi_poly,
     restricted_sumset,
     roots_over_fp,
     sigma_expansion,
@@ -33,6 +31,14 @@ P11 = Prime(11)
 
 def _random_set(rng, p, size):
     return FpSet.of(p, rng.sample(range(p.value), size))
+
+
+def _kernel(i, p):
+    """(x - y)(x + y)**(i-1) as a BiPoly, from the oracle's integer row."""
+    rows = [[0] * (i + 1) for _ in range(i + 1)]
+    for j, c in enumerate(antisym_row(i)):
+        rows[j][i - j] = c
+    return BiPoly.of(p, rows)
 
 
 def test_unipoly_normalization_and_degree():
@@ -172,7 +178,7 @@ def test_homogeneous_components_reassemble():
                 assert i + j == d
             total = total + comp
         assert total == f
-    hom = pi_poly(4, P11)
+    hom = _kernel(4, P11)
     comps = homogeneous_components(hom)
     assert sum(1 for c in comps if not c.is_zero) == 1
 
@@ -180,16 +186,17 @@ def test_homogeneous_components_reassemble():
 def test_homogeneous_top_of_locus_is_antisymmetric_kernel():
     c = FpSet.of(P11, range(1, 9))
     f = build_locus_poly(c)
-    assert f.homogeneous_component(9) == pi_poly(9, P11)
+    assert f.homogeneous_component(9) == _kernel(9, P11)
 
 
 def test_cij_examples():
     for i in range(1, 12):
-        assert cij(i, i, P11).residue == 1
-        assert cij(i, 0, P11).residue == 10
-    assert cij(3, 2, P11).residue == 1
-    assert cij(4, 2, P11).residue == 0
-    assert cij(9, 5, P11).residue == 3  # 70 - 56 = 14
+        assert cij(i, i, P11) == 1
+        assert cij(i, 0, P11) == 10
+    assert cij(3, 2, P11) == 1
+    assert cij(4, 2, P11) == 0
+    assert cij(9, 5, P11) == 3  # 70 - 56 = 14
+    assert all(type(cij(9, j, P11)) is int for j in range(10))
     with pytest.raises(IndexOutOfRange):
         cij(3, 4, P11)
     with pytest.raises(IndexOutOfRange):
@@ -209,7 +216,7 @@ def test_cij_against_expansion_oracle():
         for i in range(1, pv):
             row = antisym_row(i)
             for j in range(i + 1):
-                assert cij(i, j, p).residue == row[j] % pv
+                assert cij(i, j, p) == row[j] % pv
 
 
 def test_cij_antisymmetry_and_closed_form_agreement():
@@ -226,19 +233,7 @@ def test_cij_antisymmetry_and_closed_form_agreement():
         p = Prime(pv)
         for i in range(1, pv + 1):
             for j in range(i + 1):
-                assert cij(i, j, p).residue == (-cij(i, i - j, p).residue) % pv
-
-
-def test_pi_poly_matches_cij_table():
-    assert pi_poly(1, P11) == BiPoly.of(P11, [[0, 10], [1, 0]])
-    p3 = pi_poly(3, P11)
-    # x^3 + x^2 y - x y^2 - y^3
-    assert [p3.get(j, 3 - j) for j in range(4)] == [10, 10, 1, 1]
-    for i in range(1, 26):
-        poly = pi_poly(i, Prime(29))
-        assert poly.total_degree == i
-        for j in range(i + 1):
-            assert poly.get(j, i - j) == cij(i, j, Prime(29)).residue
+                assert cij(i, j, p) == (-cij(i, i - j, p)) % pv
 
 
 def test_sigma_expansion_equals_locus_product():
@@ -256,15 +251,18 @@ def test_sigma_expansion_equals_locus_product():
         size = rng.randint(2, min(12, pv - 1))
         c = _random_set(rng, p, size)
         assert sigma_expansion(c) == build_locus_poly(c)
-
-
-def test_sigma_expansion_even_size_flag():
-    odd = FpSet.of(P11, [1, 2, 3])
-    assert sigma_expansion(odd) == build_locus_poly(odd)
-    with pytest.raises(OddSize):
-        sigma_expansion(odd, require_even_size=True)
-    even = FpSet.of(P11, [1, 2])
-    assert sigma_expansion(even, require_even_size=True) == build_locus_poly(even)
+    # every size 0..36 at the audit primes, odd sizes included, also against
+    # the naive expansion; |c| = 34 is the restricted sumset at k = 18
+    rng = random.Random(23)
+    for pv in (37, 41, 43):
+        p = Prime(pv)
+        for size in range(37):
+            c = _random_set(rng, p, size)
+            expanded = sigma_expansion(c)
+            assert expanded == build_locus_poly(c)
+            terms = {(i, j): coeff for coeff, i, j in expanded.terms()}
+            assert terms == brute_locus_coefficients(c.elements, pv)
+            assert expanded.total_degree == size + 1
 
 
 def test_roots_examples():
