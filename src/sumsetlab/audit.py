@@ -66,7 +66,7 @@ class CoefficientGrid:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One audited identity: lhs `relation` rhs, with the observed outcome."""
+    """One audited identity: lhs `relation` rhs; the verdict is derived from it."""
 
     step: int
     parity: str
@@ -74,7 +74,10 @@ class CheckRecord:
     lhs: int | str
     rhs: int | str
     relation: str  # "eq" or "ne"
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.lhs == self.rhs) == (self.relation == "eq")
 
     def to_line(self) -> str:
         ok = "true" if self.passed else "false"
@@ -104,7 +107,12 @@ class StepSummary:
     denominator_closed_form: int | None = None
     pivot: int | None = None
     pivot_closed_form: int | None = None
-    pivot_closed_form_agrees: bool | None = None
+
+    @property
+    def pivot_closed_form_agrees(self) -> bool | None:
+        if self.pivot_closed_form is None:
+            return None
+        return self.pivot_closed_form == self.pivot
 
 
 @dataclass
@@ -118,7 +126,10 @@ class AuditTrace:
     records: list[CheckRecord] = dataclass_field(default_factory=list)
     steps: list[StepSummary] = dataclass_field(default_factory=list)
     warning: str | None = None
-    sets_equal: bool = False
+
+    @property
+    def sets_equal(self) -> bool:
+        return self.set_a == self.set_b
 
     @property
     def clean(self) -> bool:
@@ -161,15 +172,9 @@ def audit_top_layer(
         expected = cij(2 * k - 1, k + t, p)
         a = grid_a.entry(k - 1, t)
         b = grid_b.entry(k - 1, t)
-        records.append(
-            CheckRecord(0, "top", f"top_a_coefficient[{t}]", a, expected, "eq", a == expected)
-        )
-        records.append(
-            CheckRecord(0, "top", f"top_b_antisym[{t}]", b, (-a) % pv, "eq", b == (-a) % pv)
-        )
-        records.append(
-            CheckRecord(0, "top", f"top_a_nonzero[{t}]", a, 0, "ne", a != 0)
-        )
+        records.append(CheckRecord(0, "top", f"top_a_coefficient[{t}]", a, expected, "eq"))
+        records.append(CheckRecord(0, "top", f"top_b_antisym[{t}]", b, (-a) % pv, "eq"))
+        records.append(CheckRecord(0, "top", f"top_a_nonzero[{t}]", a, 0, "ne"))
     return records
 
 
@@ -210,32 +215,20 @@ def _odd_step(i, k, p, fc, grid_a, grid_b, sig_a, sig_b, records):
         )
         total += _sign(r + 1 + j, p) * term
     total %= p
-    records.append(
-        CheckRecord(i, "odd", "odd_grid_identity", lhs, total, "eq", lhs == total)
-    )
-    records.append(
-        CheckRecord(i, "odd", "odd_component_vanishes", lhs, 0, "eq", lhs == 0)
-    )
+    records.append(CheckRecord(i, "odd", "odd_grid_identity", lhs, total, "eq"))
+    records.append(CheckRecord(i, "odd", "odd_component_vanishes", lhs, 0, "eq"))
     pivot = grid_b.entry(k - 1, r)
-    records.append(
-        CheckRecord(i, "odd", "odd_pivot_nonzero", pivot, 0, "ne", pivot != 0)
-    )
-    records.append(
-        CheckRecord(i, "odd", "sigma_match", sig_a[i], sig_b[i], "eq", sig_a[i] == sig_b[i])
-    )
+    records.append(CheckRecord(i, "odd", "odd_pivot_nonzero", pivot, 0, "ne"))
+    records.append(CheckRecord(i, "odd", "sigma_match", sig_a[i], sig_b[i], "eq"))
     cancel = (sig_b[i] - sig_a[i]) * pivot % p
-    records.append(
-        CheckRecord(i, "odd", "odd_cancellation", cancel, 0, "eq", cancel == 0)
-    )
+    records.append(CheckRecord(i, "odd", "odd_cancellation", cancel, 0, "eq"))
 
     pivot_closed = None
-    agrees = None
     if (k - r - 1) % p != 0:
         frac = odd_pivot_closed_form(k, r)
         pivot_closed = (
             frac.numerator % p * inverse_mod(frac.denominator % p, p) % p
         )
-        agrees = pivot_closed == pivot
     return StepSummary(
         index=i,
         parity="odd",
@@ -243,7 +236,6 @@ def _odd_step(i, k, p, fc, grid_a, grid_b, sig_a, sig_b, records):
         sigma_b=sig_b[i],
         pivot=pivot,
         pivot_closed_form=pivot_closed,
-        pivot_closed_form_agrees=agrees,
     )
 
 
@@ -257,11 +249,7 @@ def _even_step(i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, records)
     for j in range(r):
         sum_low += _sign(r + 1 + j, p) * sig_a[r + 1 + j] * grid_a.entry(k - r + j, j)
     sum_low %= p
-    records.append(
-        CheckRecord(
-            i, "even", "even_grid_identity_low", lhs_low, sum_low, "eq", lhs_low == sum_low
-        )
-    )
+    records.append(CheckRecord(i, "even", "even_grid_identity_low", lhs_low, sum_low, "eq"))
     # mirrored monomial x^(k-r) y^(k-r-1)
     lhs_high = fc.get(k - r, k - r - 1)
     sum_high = 0
@@ -270,11 +258,7 @@ def _even_step(i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, records)
     for j in range(r):
         sum_high += _sign(r + 1 + j, p) * sig_b[r + 1 + j] * grid_b.entry(k - r + j, j)
     sum_high %= p
-    records.append(
-        CheckRecord(
-            i, "even", "even_grid_identity_high", lhs_high, sum_high, "eq", lhs_high == sum_high
-        )
-    )
+    records.append(CheckRecord(i, "even", "even_grid_identity_high", lhs_high, sum_high, "eq"))
     # rho: the low identity with its two top terms split off
     rho = sig_c[i] * cij(2 * k - 2 * r - 1, k - r - 1, prime)
     for j in range(r):
@@ -285,34 +269,16 @@ def _even_step(i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, records)
     rho_rhs = (
         sig_b[i] * grid_b.entry(k - 1, r) - sig_a[i] * grid_b.entry(k - 1, r - 1)
     ) % p
-    records.append(
-        CheckRecord(i, "even", "even_rho_relation", rho, rho_rhs, "eq", rho == rho_rhs)
-    )
+    records.append(CheckRecord(i, "even", "even_rho_relation", rho, rho_rhs, "eq"))
     denominator = (grid_b.entry(k - 1, r - 1) + grid_b.entry(k - 1, r)) % p
-    records.append(
-        CheckRecord(
-            i, "even", "even_denominator_nonzero", denominator, 0, "ne", denominator != 0
-        )
-    )
+    records.append(CheckRecord(i, "even", "even_denominator_nonzero", denominator, 0, "ne"))
     closed = even_denominator_closed_form(k, r) % p
     records.append(
-        CheckRecord(
-            i,
-            "even",
-            "even_denominator_closed_form",
-            denominator,
-            closed,
-            "eq",
-            denominator == closed,
-        )
+        CheckRecord(i, "even", "even_denominator_closed_form", denominator, closed, "eq")
     )
-    records.append(
-        CheckRecord(i, "even", "sigma_match", sig_a[i], sig_b[i], "eq", sig_a[i] == sig_b[i])
-    )
+    records.append(CheckRecord(i, "even", "sigma_match", sig_a[i], sig_b[i], "eq"))
     cancel = (sig_b[i] - sig_a[i]) * denominator % p
-    records.append(
-        CheckRecord(i, "even", "even_cancellation", cancel, 0, "eq", cancel == 0)
-    )
+    records.append(CheckRecord(i, "even", "even_cancellation", cancel, 0, "eq"))
     return StepSummary(
         index=i,
         parity="even",
@@ -361,9 +327,7 @@ def audit_sigma_chain(
 
     if locus is None:
         locus = c
-    trace = AuditTrace(
-        p=p, k=k, set_a=set_a, set_b=set_b, warning=warning, sets_equal=set_a == set_b
-    )
+    trace = AuditTrace(p=p, k=k, set_a=set_a, set_b=set_b, warning=warning)
     f = build_locus_poly(locus)
 
     try:
@@ -371,41 +335,19 @@ def audit_sigma_chain(
     except NotVanishing as exc:
         a, b = exc.point
         trace.records.append(
-            CheckRecord(
-                0,
-                "setup",
-                "locus_vanishes_on_grid",
-                f"f({a},{b})={exc.value}",
-                "0",
-                "eq",
-                False,
-            )
+            CheckRecord(0, "setup", "locus_vanishes_on_grid", f"f({a},{b})={exc.value}", "0", "eq")
         )
         return trace
 
     verdict = verify_witness(f, w)
     trace.records.append(
         CheckRecord(
-            0,
-            "setup",
-            "witness_identity",
-            "ok" if verdict.ok else verdict.failure,
-            "ok",
-            "eq",
-            verdict.ok,
+            0, "setup", "witness_identity", "ok" if verdict.ok else verdict.failure, "ok", "eq"
         )
     )
-    expansion_ok = sigma_expansion(locus) == f
+    expansion = "ok" if sigma_expansion(locus) == f else "mismatch"
     trace.records.append(
-        CheckRecord(
-            0,
-            "setup",
-            "symmetric_expansion_matches_locus",
-            "ok" if expansion_ok else "mismatch",
-            "ok",
-            "eq",
-            expansion_ok,
-        )
+        CheckRecord(0, "setup", "symmetric_expansion_matches_locus", expansion, "ok", "eq")
     )
 
     grid_a, grid_b = extract_grids(w, k)
@@ -431,13 +373,7 @@ def audit_sigma_chain(
             b_val = grid_b.entry(row, ell)
             trace.records.append(
                 CheckRecord(
-                    i,
-                    summary.parity,
-                    f"tail_antisym[{row},{ell}]",
-                    a_val,
-                    (-b_val) % p,
-                    "eq",
-                    a_val == (-b_val) % p,
+                    i, summary.parity, f"tail_antisym[{row},{ell}]", a_val, (-b_val) % p, "eq"
                 )
             )
 
@@ -451,19 +387,10 @@ def audit_sigma_chain(
             ",".join(map(str, g_a.coeffs)),
             ",".join(map(str, g_b.coeffs)),
             "eq",
-            g_a == g_b,
         )
     )
     trace.records.append(
-        CheckRecord(
-            k,
-            "final",
-            "sets_equal",
-            set_a.literal(),
-            set_b.literal(),
-            "eq",
-            set_a == set_b,
-        )
+        CheckRecord(k, "final", "sets_equal", set_a.literal(), set_b.literal(), "eq")
     )
     return trace
 

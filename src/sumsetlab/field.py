@@ -85,12 +85,16 @@ def inverse_mod(a: int, p: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _factorial_table(p: int) -> tuple[int, ...]:
-    # n! mod p for 0 <= n <= p-1; every closed form we evaluate stays below p
+def _factorial_table(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # n! and 1/n! mod p for 0 <= n <= p-1; every closed form we evaluate stays below p
     fact = [1] * p
     for n in range(1, p):
         fact[n] = fact[n - 1] * n % p
-    return tuple(fact)
+    inv = [1] * p
+    inv[p - 1] = inverse_mod(fact[p - 1], p)
+    for n in range(p - 1, 0, -1):
+        inv[n - 1] = inv[n] * n % p
+    return tuple(fact), tuple(inv)
 
 
 def binomial_mod(n: int, r: int, p: Prime | int) -> int:
@@ -102,6 +106,5 @@ def binomial_mod(n: int, r: int, p: Prime | int) -> int:
         raise ModulusTooSmall(f"C({n}, {r}) mod {prime.value} needs n < p")
     if r > n:
         return 0
-    fact = _factorial_table(prime.value)
-    den = fact[r] * fact[n - r] % prime.value
-    return fact[n] * inverse_mod(den, prime.value) % prime.value
+    fact, inv = _factorial_table(prime.value)
+    return fact[n] * inv[r] * inv[n - r] % prime.value

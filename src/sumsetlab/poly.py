@@ -154,12 +154,6 @@ class BiPoly:
         return cls.of(p, [])
 
     @classmethod
-    def monomial(cls, p: Prime | int, c: int, i: int, j: int) -> "BiPoly":
-        rows = [[0] * (j + 1) for _ in range(i + 1)]
-        rows[i][j] = c
-        return cls.of(p, rows)
-
-    @classmethod
     def from_unipoly_x(cls, q: UniPoly) -> "BiPoly":
         return cls.of(q.modulus, [[c] for c in q.coeffs])
 
@@ -264,13 +258,6 @@ class BiPoly:
             xp = xp * x % p
         return acc
 
-    def homogeneous_component(self, d: int) -> "BiPoly":
-        rows = [
-            [c if i + j == d else 0 for j, c in enumerate(row)]
-            for i, row in enumerate(self.table)
-        ]
-        return BiPoly.of(self.modulus, rows)
-
     def to_text(self) -> str:
         """One 'c:i,j' line per nonzero monomial, in (total degree, i) order."""
         return "\n".join(f"{c}:{i},{j}" for c, i, j in self.terms())
@@ -347,19 +334,23 @@ def vanishing_polynomial(s: FpSet) -> UniPoly:
 
 def build_locus_poly(c: FpSet) -> BiPoly:
     """(x - y) times the product of (x + y - t) over t in c; degree |c|+1."""
-    prime = c.modulus
-    f = BiPoly.of(prime, [[0, -1], [1, 0]])  # x - y
-    for t in c.elements:
-        factor = BiPoly.of(prime, [[-t, 1], [1, 0]])  # x + y - t
-        f = f * factor
-    return f
+    p, n = c.modulus.value, len(c) + 3  # row and column n-1 stay zero, so index -1 reads 0
+    g = [[0] * n for _ in range(n)]
+    g[1][0], g[0][1] = 1, p - 1  # x - y
+    for d, t in enumerate(c.elements, 2):  # g * (x + y - t) in place; its degree is d
+        for i in range(d, -1, -1):  # downward, so g[i - 1] and g[i][j - 1] are still old
+            row, low = g[i], g[i - 1]
+            for j in range(d - i, -1, -1):
+                row[j] = (low[j] + row[j - 1] - t * row[j]) % p
+    return BiPoly.of(c.modulus, g)
 
 
 def homogeneous_components(f: BiPoly) -> list[BiPoly]:
     """Components by total degree 0..deg(f); they sum back to f exactly."""
-    if f.is_zero:
-        return []
-    return [f.homogeneous_component(d) for d in range(f.total_degree + 1)]
+    comps = [[[0] * (d + 1) for _ in range(d + 1)] for d in range(f.total_degree + 1)]
+    for c, i, j in f.terms():
+        comps[i + j][i][j] = c
+    return [BiPoly.of(f.modulus, rows) for rows in comps]
 
 
 def cij(i: int, j: int, p: Prime | int) -> int:

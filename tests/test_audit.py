@@ -103,6 +103,10 @@ def test_audit_clean_on_extremal_instance():
     assert all("pass=true" in line for line in lines)
 
 
+def _trace_sha(trace):
+    return hashlib.sha256("\n".join(trace.iter_lines()).encode()).hexdigest()
+
+
 def test_audit_trace_pinned_at_k18():
     # one extremal set at the largest audited size: {0..18} without 17, whose
     # restricted sumset has 34 elements mod 37; the sha256 pins every record
@@ -110,9 +114,27 @@ def test_audit_trace_pinned_at_k18():
     assert len(restricted_sumset(a, a)) == 34
     trace = audit_sigma_chain(a, a)
     assert trace.clean and trace.sets_equal and len(trace.records) == 279
-    text = "\n".join(trace.iter_lines())
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert _trace_sha(trace) == (
         "e4c17b2d49ad8ee0160744dadd79e8870ed23e560aaac083823b463c12433960"
+    )
+    # failing traces are pinned too, so a derived verdict that differed from
+    # the comparison it reports would change the pass= fields and show here
+    b = FpSet.of(P11, [0, 1, 2, 4, 9, 10])
+    trace = audit_sigma_chain(FpSet.of(P11, range(6)), b)
+    assert (len(trace.records), len(trace.failed_records())) == (57, 13)
+    assert _trace_sha(trace) == (
+        "9a7fce35922199f51dca7510627121d3d58d64c56b98f6dad68af631e863528d"
+    )
+    a = FpSet.of(P11, [0, 1, 2, 3, 4, 6])
+    trace = audit_sigma_chain(a, a)
+    assert [r.label for r in trace.failed_records()] == ["even_denominator_nonzero"] * 2
+    assert _trace_sha(trace) == (
+        "37cee64e92a507f724d729a36e365e44425638f658ba2623d57a361f0d34c298"
+    )
+    c = restricted_sumset(EXTREMAL, EXTREMAL)
+    trace = audit_sigma_chain(EXTREMAL, EXTREMAL, locus=FpSet.of(P11, c.elements[:-1]))
+    assert _trace_sha(trace) == (
+        "8526d167a7fc6a55f5112b6df47b9cd70aa5b342fb4bb651080d1d8cf5fcf153"
     )
 
 

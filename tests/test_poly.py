@@ -181,12 +181,25 @@ def test_homogeneous_components_reassemble():
     hom = _kernel(4, P11)
     comps = homogeneous_components(hom)
     assert sum(1 for c in comps if not c.is_zero) == 1
+    # locus polynomials at the audit primes, up to |c| = 36: each component
+    # holds exactly the degree-d terms of the naive expansion
+    rng = random.Random(15)
+    for pv in (37, 41, 43):
+        p = Prime(pv)
+        for size in range(37):
+            c = _random_set(rng, p, size)
+            comps = homogeneous_components(build_locus_poly(c))
+            assert len(comps) == size + 2
+            brute = brute_locus_coefficients(c.elements, pv)
+            for d, comp in enumerate(comps):
+                got = {(i, j): coeff for coeff, i, j in comp.terms()}
+                assert got == {ij: v for ij, v in brute.items() if sum(ij) == d}
 
 
 def test_homogeneous_top_of_locus_is_antisymmetric_kernel():
     c = FpSet.of(P11, range(1, 9))
     f = build_locus_poly(c)
-    assert f.homogeneous_component(9) == _kernel(9, P11)
+    assert homogeneous_components(f)[9] == _kernel(9, P11)
 
 
 def test_cij_examples():
