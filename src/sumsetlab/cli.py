@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -201,6 +202,16 @@ def cmd_audit(args) -> int:
 
 def cmd_verify(args) -> int:
     prime = _parse_prime(args.prime)
+    out_path = args.out
+    if out_path is None:
+        kpart = f"-k{args.k}" if args.theorem != "bounds" else ""
+        out_path = f"sweep-{args.theorem}-p{prime.value}{kpart}.json"
+    # fail before a long sweep, without opening (and so truncating) the report
+    out_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(out_dir):
+        raise _ParseFailure(f"report directory {out_dir!r} does not exist")
+    if os.path.isdir(out_path):
+        raise _ParseFailure(f"report path {out_path!r} is a directory")
     # each sweep applies its own default ceiling unless --ceiling is given
     guard = {} if args.ceiling is None else {"ceiling": args.ceiling}
     started = time.perf_counter()
@@ -232,10 +243,6 @@ def cmd_verify(args) -> int:
             f"{report.pairs_scanned} ordered pairs scanned "
             f"[{time.perf_counter() - started:.2f}s]"
         )
-    out_path = args.out
-    if out_path is None:
-        kpart = f"-k{args.k}" if args.theorem != "bounds" else ""
-        out_path = f"sweep-{args.theorem}-p{prime.value}{kpart}.json"
     with open(out_path, "w") as handle:
         handle.write(report_to_json(report))
     if args.format == "records":
@@ -256,12 +263,13 @@ def cmd_enumerate(args) -> int:
     prime = _parse_prime(args.prime)
     if args.k is None:
         raise _ParseFailure("-k is required for enumerate")
-    count = 0
-    for s in enumerate_k_subsets(prime, args.k, start=args.start):
-        print(s.literal())
-        count += 1
-        if args.limit is not None and count >= args.limit:
+    if args.limit is not None and args.limit < 0:
+        raise InvalidArgument(f"limit must be nonnegative, got {args.limit}")
+    # the generator runs its argument guards on the first step, even at --limit 0
+    for count, s in enumerate(enumerate_k_subsets(prime, args.k, start=args.start)):
+        if count == args.limit:
             break
+        print(s.literal())
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ the progression-structure sweep at size 2k-3, and the classical lower-bound
 sweep over all nonempty pairs. The first two share one bitmask engine: A
 runs over affine-orbit representatives (every k-subset when unpruned), dealt
 to shards by stride, and a depth-first walk over B in increasing order cuts
-each branch whose restricted sumset outgrows the target. Hits are deduplicated
-up to affine maps and swap, so reports are byte-identical for any worker count.
+each branch whose restricted sumset outgrows the target. Each shard
+deduplicates its hits on bitmasks, up to common affine maps and swap, and
+returns one canonical pair per orbit; the parent takes the union, so reports
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -189,14 +191,6 @@ def report_to_json(report: SweepReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _canonical_unordered(a: FpSet, b: FpSet) -> tuple[FpSet, FpSet]:
-    c1 = canonical_pair(a, b)
-    c2 = canonical_pair(b, a)
-    key1 = (c1.a.elements, c1.b.elements)
-    key2 = (c2.a.elements, c2.b.elements)
-    return c1.sets if key1 <= key2 else c2.sets
-
-
 def _pool_size(workers: int, tasks: int) -> int:
     # a forking pool starts every worker up front: clamp to CPUs and tasks
     if workers < 1:
@@ -236,6 +230,35 @@ def _is_orbit_rep(mask: int, elems: tuple[int, ...], p: int, full: int) -> bool:
     return True
 
 
+def _canonical_masks(a_mask: int, b_mask: int, p: int, full: int) -> tuple[int, int]:
+    # lex-least common image x -> lam*x - t (t in lam*X) of the pair, over both
+    # orders (X, Y), by the _is_orbit_rep rule; each lam dilates A and B once,
+    # and Y's image is shifted only when X's image ties or beats the best so far
+    best_x = best_y = full + 1  # above every candidate: the first one wins
+    a_elems = _mask_elements(a_mask)
+    b_elems = _mask_elements(b_mask)
+    for lam in range(1, p):
+        a_dil = [lam * e % p for e in a_elems]
+        b_dil = [lam * e % p for e in b_elems]
+        a_img = sum(1 << d for d in a_dil)
+        b_img = sum(1 << d for d in b_dil)
+        for x_dil, x_img, y_img in ((a_dil, a_img, b_img), (b_dil, b_img, a_img)):
+            for t in x_dil:
+                # x -> x - t is a right rotation by t
+                x = (x_img >> t | x_img << (p - t)) & full
+                diff = x ^ best_x
+                if diff & -diff & best_x:
+                    continue
+                y = (y_img >> t | y_img << (p - t)) & full
+                if diff:
+                    best_x, best_y = x, y
+                else:
+                    diff = y ^ best_y
+                    if diff & -diff & y:
+                        best_y = y
+    return best_x, best_y
+
+
 def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[int]:
     # every k-subset B with |A+.B| = target, walking B in increasing order;
     # A+.B only grows with B (so overfull branches are cut) and never passes p
@@ -273,15 +296,17 @@ def _outer_masks(p: int, k: int, prune: bool, shard: int, shards: int) -> Iterat
             yield mask
 
 
-def _extremal_shard(args) -> tuple[int, list[tuple[int, int]]]:
+def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
+    # how many outer sets the shard walked, and the canonical masks of its hits
     p, k, target, prune, shard, shards = args
     full = (1 << p) - 1
     walked = 0
-    hits = []
+    pairs = set()
     for a_mask in _outer_masks(p, k, prune, shard, shards):
         walked += 1
-        hits.extend((a_mask, b) for b in _extremal_bs(a_mask, p, k, target, full))
-    return walked, hits
+        for b_mask in _extremal_bs(a_mask, p, k, target, full):
+            pairs.add(_canonical_masks(a_mask, b_mask, p, full))
+    return walked, pairs
 
 
 def _run_shards(worker, arg_list):
@@ -302,18 +327,17 @@ def _scan_extremal_pairs(
 
     # logical count: every walked A is paired with all C(p, k) sets B
     scanned = sum(r[0] for r in results) * comb(p, k)
-    seen = {}
-    for _, hits in results:
-        for a_mask, b_mask in hits:
-            a = FpSet.from_mask(prime, a_mask)
-            b = FpSet.from_mask(prime, b_mask)
-            ca, cb = _canonical_unordered(a, b)
-            seen[(ca.elements, cb.elements)] = (ca, cb)
-    records = [make_pair_record(a, b) for _, (a, b) in sorted(seen.items())]
+    orbits = sorted(
+        (_mask_elements(a_mask), _mask_elements(b_mask))
+        for a_mask, b_mask in set().union(*(r[1] for r in results))
+    )
+    records = [make_pair_record(FpSet(prime, a), FpSet(prime, b)) for a, b in orbits]
     return scanned, records
 
 
 def _check_ceiling(prime: Prime, ceiling: int) -> None:
+    if ceiling < 2:
+        raise InvalidArgument(f"ceiling must be at least 2, got {ceiling}")
     if prime.value > ceiling:
         raise CeilingExceeded(
             f"p = {prime.value} above the exhaustive ceiling {ceiling}"
@@ -412,7 +436,8 @@ def verify_karolyi_inverse(
     converse = {}
     for ap_set in _ap_sets_of_size(prime, k):
         if len(restricted_sumset(ap_set, ap_set)) != required:
-            ca, cb = _canonical_unordered(ap_set, ap_set)
+            # a diagonal pair: swapping it changes nothing
+            ca, cb = canonical_pair(ap_set, ap_set).sets
             converse[(ca.elements, cb.elements)] = (ca, cb)
     exceptions.extend(make_pair_record(a, b) for _, (a, b) in sorted(converse.items()))
     flags = {

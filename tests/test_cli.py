@@ -160,6 +160,15 @@ def test_verify_ceiling_guard(capsys):
     assert "raise with --ceiling" in capsys.readouterr().err
 
 
+def test_verify_guard_keeps_existing_report(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+    argv = ["verify", "main", "-p", "13", "-k", "5", "--out", str(out)]
+    assert main([*argv, "--ceiling", "11"]) == 4
+    assert main([*argv, "--ceiling", "-1"]) == 2
+    assert out.read_text() == "earlier report\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -172,20 +181,35 @@ def test_verify_ceiling_guard(capsys):
         ["verify", "bounds", "-p", "7", "--workers", "-2"],
         ["enumerate", "-p", "7", "-k", "8"],
         ["verify", "main", "-p", "7", "-k", "8"],
+        ["enumerate", "-p", "7", "-k", "2", "--limit", "-2"],
+        ["enumerate", "-p", "7", "-k", "8", "--limit", "0"],
+        ["verify", "main", "-p", "11", "-k", "4", "--ceiling", "-1"],
+        ["verify", "bounds", "-p", "7", "--ceiling", "1"],
+        # checked before the sweep, whose ceiling guard would exit 4
+        ["verify", "main", "-p", "23", "-k", "3", "--out", "missing/report.json"],
+        ["verify", "bounds", "-p", "17", "--out", "."],
     ],
     ids=[
         "enumerate-k0", "enumerate-start-negative", "verify-k0", "target-above-p",
         "target-negative", "workers-zero", "bounds-workers-negative",
-        "enumerate-k-above-p", "verify-k-above-p",
+        "enumerate-k-above-p", "verify-k-above-p", "enumerate-limit-negative",
+        "enumerate-limit-zero-k-above-p", "ceiling-negative", "bounds-ceiling-one",
+        "out-directory-missing", "out-is-directory",
     ],
 )
 def test_out_of_range_input_exits_two(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
-    if argv[0] == "verify":
+    if "--out" in argv:  # the given path, taken inside the empty tmp_path
+        i = argv.index("--out") + 1
+        out = tmp_path / argv[i]
+        argv = [*argv[:i], str(out), *argv[i + 1:]]
+    elif argv[0] == "verify":
         argv = [*argv, "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.is_file()
 
 
 def test_verify_boundary_prime_records_but_does_not_fail(tmp_path, capsys):
@@ -205,6 +229,8 @@ def test_enumerate_stream(capsys):
     assert main(["enumerate", "-p", "7", "-k", "2", "--start", "19"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["4,6", "5,6"]
+    assert main(["enumerate", "-p", "7", "-k", "2", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_console_entry_subprocess():

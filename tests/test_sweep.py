@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from math import comb
 
 import pytest
@@ -24,12 +25,15 @@ from sumsetlab import sweep
 from sumsetlab.sets import _mask_elements, canonical_pair
 from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
+    _canonical_masks,
+    _extremal_bs,
     _extremal_shard,
     _outer_masks,
     _pool_size,
 )
 
 from oracles import (
+    brute_canonical_pair,
     brute_orbit_reps,
     brute_restricted,
     brute_sumset,
@@ -105,12 +109,18 @@ def test_main_theorem_boundary_prime_has_recorded_counterexamples():
 
 def test_pruning_soundness():
     # reports agree apart from the pruning flag and the logical pair count,
-    # also at the boundary p = 2k-1 (which has counterexamples) and at a
-    # non-default target
-    for p, k, target in ((11, 4, None), (11, 6, None), (11, 4, 6)):
+    # also at the boundary p = 2k-1 (which has counterexamples), at a
+    # non-default target, and where the target reaches p (karolyi at (7, 5))
+    cases = (
+        (verify_main_theorem, 11, 4, None),
+        (verify_main_theorem, 11, 6, None),
+        (verify_main_theorem, 11, 4, 6),
+        (verify_karolyi_inverse, 7, 5, None),
+    )
+    for verify, p, k, target in cases:
         docs = {}
         for prune in (True, False):
-            report = verify_main_theorem(p, k, prune=prune, target=target)
+            report = verify(p, k, prune=prune, target=target)
             docs[prune] = json.loads(report_to_json(report))
             assert docs[prune].pop("pruned") is prune
         reps = burnside_orbit_count(p, k)
@@ -118,7 +128,9 @@ def test_pruning_soundness():
         assert docs[False].pop("pairs_scanned") == comb(p, k) ** 2
         assert docs[True] == docs[False]
         assert docs[True]["extremal_pair_count"] > 0
-    assert docs[True]["target_size"] == 6
+        if target is not None:
+            assert docs[True]["target_size"] == target
+    assert docs[True]["target_size"] == 7 == p
 
 
 def test_orbit_reps_match_burnside_count():
@@ -144,19 +156,68 @@ def test_strided_shards_partition_outer_sets():
             assert sorted(parts) == sorted(whole)
 
 
+def _brute_unordered_canonical(a, b, p):
+    return min(brute_canonical_pair(a, b, p), brute_canonical_pair(b, a, p))
+
+
 def test_unpruned_walk_matches_naive_double_loop():
     p = 7
+    full = (1 << p) - 1
     for k in range(1, p + 1):
         subsets = list(itertools.combinations(range(p), k))
         by_size = {}
         for a in subsets:
             for b in subsets:
                 size = len(brute_restricted(a, b, p))
-                by_size.setdefault(size, []).append((_mask(a), _mask(b)))
+                by_size.setdefault(size, set()).add((a, b))
         for target in range(p + 2):  # p + 1 is main's default target at k = 5
-            walked, hits = _extremal_shard((p, k, target, False, 0, 1))
+            naive = by_size.get(target, set())
+            raw = {
+                (_mask(a), b_mask)
+                for a in subsets
+                for b_mask in _extremal_bs(_mask(a), p, k, target, full)
+            }
+            assert raw == {(_mask(a), _mask(b)) for a, b in naive}
+            walked, pairs = _extremal_shard((p, k, target, False, 0, 1))
             assert walked == len(subsets)
-            assert sorted(hits) == sorted(by_size.get(target, []))
+            orbits = {_brute_unordered_canonical(a, b, p) for a, b in naive}
+            assert pairs == {(_mask(a), _mask(b)) for a, b in orbits}
+
+
+def _canonical_elements(a, b, p):
+    ca, cb = _canonical_masks(_mask(a), _mask(b), p, (1 << p) - 1)
+    return _mask_elements(ca), _mask_elements(cb)
+
+
+def test_canonical_masks_match_brute_force():
+    for p in (5, 7):
+        for k in range(1, p + 1):
+            subsets = list(itertools.combinations(range(p), k))
+            for a in subsets:
+                for b in subsets:
+                    assert _canonical_elements(a, b, p) == _brute_unordered_canonical(a, b, p)
+    rng = random.Random(20241)
+    for p in (11, 13):
+        for _ in range(200):
+            k = rng.randint(1, p)
+            a = sorted(rng.sample(range(p), k))
+            b = sorted(rng.sample(range(p), k))
+            assert _canonical_elements(a, b, p) == _brute_unordered_canonical(a, b, p)
+
+
+def test_canonical_masks_invariant_under_affine_maps_and_swap():
+    rng = random.Random(7)
+    for p in (7, 11, 13, 17):
+        for _ in range(50):
+            k = rng.randint(1, p)
+            a = rng.sample(range(p), k)
+            b = rng.sample(range(p), k)
+            lam, mu = rng.randrange(1, p), rng.randrange(p)
+            a2 = [(lam * x + mu) % p for x in a]
+            b2 = [(lam * x + mu) % p for x in b]
+            expected = _canonical_elements(a, b, p)
+            assert _canonical_elements(a2, b2, p) == expected
+            assert _canonical_elements(b2, a2, p) == expected
 
 
 def test_pool_size_clamps_to_cpus_and_tasks(monkeypatch):
@@ -191,6 +252,11 @@ def test_theorem_ceiling_guard():
     with pytest.raises(CeilingExceeded):
         verify_karolyi_inverse(13, 5, ceiling=11)
     assert verify_main_theorem(7, 3, ceiling=7).passed
+    for ceiling in (1, -1):
+        with pytest.raises(InvalidArgument):
+            verify_main_theorem(7, 3, ceiling=ceiling)
+        with pytest.raises(InvalidArgument):
+            verify_bounds(5, ceiling=ceiling)
 
 
 def test_unpruned_scan_counts_ordered_pairs():
@@ -202,6 +268,10 @@ def test_reports_deterministic_across_workers():
     base = report_to_json(verify_main_theorem(11, 4, workers=1))
     assert report_to_json(verify_main_theorem(11, 4, workers=3)) == base
     assert report_to_json(verify_main_theorem(11, 4, workers=8)) == base
+    # each shard returns its own set of orbits; the parent takes their union
+    single = verify_karolyi_inverse(11, 7, workers=1)
+    assert single.extremal_count == 518
+    assert report_to_json(verify_karolyi_inverse(11, 7, workers=2)) == report_to_json(single)
 
 
 def test_extremal_scan_matches_brute_force():
