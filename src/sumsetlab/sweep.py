@@ -3,18 +3,26 @@
 Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
-sweep over all nonempty pairs. The first two share one bitmask engine: A
-runs over affine-orbit representatives (every k-subset when unpruned), dealt
-to shards by stride, and a depth-first walk over B in increasing order cuts
-each branch whose restricted sumset outgrows the target. Each shard
-deduplicates its hits on bitmasks, up to common affine maps and swap, and
-returns one canonical pair per orbit; the parent takes the union, so reports
-are byte-identical for any worker count.
+sweep over all nonempty pairs. The first two share one bitmask engine:
+
+- the outer set A runs over affine-orbit representatives, grown depth-first
+  from {0} by orderly generation (a representative stays one when its
+  largest element is dropped, so non-representatives are pruned with their
+  subtrees); unpruned, it runs over every k-subset. Shards take the
+  prefixes of size k-3 by stride;
+- for each A a depth-first walk over B in increasing order carries the
+  later elements whose single extension still fits the target, and cuts a
+  branch once fewer are left than it needs;
+- each hit (A, B) is reduced against the representative A: it is dropped
+  when an image of B is lex-below A, since that orbit is found again from
+  the representative of B, and otherwise kept as one canonical pair.
+
+Each shard returns one pair per orbit; the parent takes the union, so
+reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +60,11 @@ __all__ = [
 
 DEFAULT_BOUNDS_CEILING = 13
 DEFAULT_THEOREM_CEILING = 19
+
+# outer sets are dealt to shards by their first k - _ROOT_LAG elements: orbit
+# reps of size k share long initial runs, so shallower prefixes are few and
+# carry very uneven work
+_ROOT_LAG = 3
 
 
 def _unrank_combination(n: int, k: int, idx: int) -> list[int]:
@@ -217,95 +230,157 @@ def _triangle_ranges(total: int, shards: int) -> list[tuple[int, int]]:
 
 
 def _is_orbit_rep(mask: int, elems: tuple[int, ...], p: int, full: int) -> bool:
-    # A (containing 0) is the lex-least image lam*A+mu of its orbit; equal-size
-    # X <lex Y iff the lowest bit of X^Y is in X, and only images with 0 compete
+    # A is the lex-least image lam*A+mu of its orbit; equal-size X <lex Y iff
+    # the lowest bit of X^Y is in X, and only images with 0 compete (so a set
+    # without 0 is never a rep)
     for lam in range(1, p):
-        dilated = [lam * e % p for e in elems]
-        image = sum(1 << t for t in dilated)
-        for t in dilated:
-            shifted = _rotate(image, -t % p, p, full)
+        image = 0
+        for e in elems:
+            image |= 1 << lam * e % p
+        image |= image << p  # x -> x - t is now a shift right by t
+        for e in elems:
+            shifted = image >> lam * e % p & full
             diff = shifted ^ mask
             if diff & -diff & shifted:
                 return False
     return True
 
 
-def _canonical_masks(a_mask: int, b_mask: int, p: int, full: int) -> tuple[int, int]:
-    # lex-least common image x -> lam*x - t (t in lam*X) of the pair, over both
-    # orders (X, Y), by the _is_orbit_rep rule; each lam dilates A and B once,
-    # and Y's image is shifted only when X's image ties or beats the best so far
-    best_x = best_y = full + 1  # above every candidate: the first one wins
-    a_elems = _mask_elements(a_mask)
+def _outer_sets(root: int, size: int, p: int, k: int, prune: bool) -> Iterator[int]:
+    # the sets of the given size grown from root by elements above its
+    # maximum that can still reach k elements; pruned, only orbit reps are
+    # grown (orderly generation: a rep stays a rep when its largest element
+    # is dropped, so no rep lies above a non-rep)
+    have = root.bit_count()
+    if have == size:
+        yield root
+        return
+    full = (1 << p) - 1
+    for e in range(root.bit_length(), p - k + have + 1):
+        mask = root | 1 << e
+        if not prune or _is_orbit_rep(mask, _mask_elements(mask), p, full):
+            yield from _outer_sets(mask, size, p, k, prune)
+
+
+def _image(mask: int, lam: int, mu: int, p: int) -> int:
+    # the mask of lam*X + mu
+    return sum(1 << (lam * e + mu) % p for e in _mask_elements(mask))
+
+
+def _least_map(mask: int, p: int) -> tuple[int, int]:
+    # the first map x -> lam*x + mu sending X to its least image, by sorted
+    # tuples over every map: the unpruned path's check on the orbit reps
+    elems = _mask_elements(mask)
+    _, lam, mu = min(
+        (sorted((lam * e + mu) % p for e in elems), lam, mu)
+        for lam in range(1, p)
+        for mu in range(p)
+    )
+    return lam, mu
+
+
+def _stabiliser(a_mask: int, p: int, full: int) -> list[tuple[int, int]]:
+    # the maps x -> lam*x + mu fixing A (which contains 0), identity included
+    elems = _mask_elements(a_mask)
+    maps = []
+    for lam in range(1, p):
+        image = 0
+        for e in elems:
+            image |= 1 << lam * e % p
+        image |= image << p
+        for e in elems:
+            t = lam * e % p
+            if image >> t & full == a_mask:
+                maps.append((lam, -t % p))
+    return maps
+
+
+def _orbit_pair(
+    a_mask: int, b_mask: int, stab: list[tuple[int, int]], p: int, full: int
+) -> tuple[int, int] | None:
+    # the lex-least common image of a hit (A, B) over both orders, where A is
+    # an orbit rep with stabiliser stab; None when an image of B is below A,
+    # as then the orbit is found again from rep(B) (A+.B is symmetric).
+    # Otherwise the first set is A, and the second is the least image of B
+    # under stab or of A under the maps sending B onto A.
+    best = full + 1  # above every candidate: the first one wins
+    for lam, mu in stab:
+        y = _image(b_mask, lam, mu, p)
+        diff = y ^ best
+        if diff & -diff & y:
+            best = y
     b_elems = _mask_elements(b_mask)
     for lam in range(1, p):
-        a_dil = [lam * e % p for e in a_elems]
-        b_dil = [lam * e % p for e in b_elems]
-        a_img = sum(1 << d for d in a_dil)
-        b_img = sum(1 << d for d in b_dil)
-        for x_dil, x_img, y_img in ((a_dil, a_img, b_img), (b_dil, b_img, a_img)):
-            for t in x_dil:
-                # x -> x - t is a right rotation by t
-                x = (x_img >> t | x_img << (p - t)) & full
-                diff = x ^ best_x
-                if diff & -diff & best_x:
-                    continue
-                y = (y_img >> t | y_img << (p - t)) & full
-                if diff:
-                    best_x, best_y = x, y
-                else:
-                    diff = y ^ best_y
-                    if diff & -diff & y:
-                        best_y = y
-    return best_x, best_y
+        image = 0
+        for e in b_elems:
+            image |= 1 << lam * e % p
+        image |= image << p
+        for e in b_elems:
+            t = lam * e % p
+            y = image >> t & full
+            diff = y ^ a_mask
+            if not diff:
+                y = _image(a_mask, lam, -t % p, p)
+                diff = y ^ best
+                if diff & -diff & y:
+                    best = y
+            elif diff & -diff & y:
+                return None
+    return a_mask, best
 
 
 def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[int]:
     # every k-subset B with |A+.B| = target, walking B in increasing order;
-    # A+.B only grows with B (so overfull branches are cut) and never passes p
+    # A+.B only grows with B and never passes p, so each level keeps the
+    # later b whose single extension still fits the target (a clique-search
+    # candidate set) and cuts a branch with fewer candidates than it needs
     if target > p:
         return []
     grow = [_rotate(a_mask & ~(1 << b), b, p, full) for b in range(p)]
     hits = []
 
-    def extend(acc: int, b_mask: int, lo: int, left: int) -> None:
-        for b in range(lo, p - left + 1):
+    def extend(acc: int, b_mask: int, cands: list[int], left: int) -> None:
+        for i in range(len(cands) - left + 1):
+            b = cands[i]
             acc_b = acc | grow[b]
-            size = acc_b.bit_count()
-            if size > target:
+            if left == 1:
+                if acc_b.bit_count() == target:
+                    hits.append(b_mask | 1 << b)
                 continue
-            if left > 1:
-                extend(acc_b, b_mask | 1 << b, b + 1, left - 1)
-            elif size == target:
-                hits.append(b_mask | 1 << b)
+            # a plain loop: a comprehension costs a call per child
+            later = []
+            for c in cands[i + 1:]:
+                if (acc_b | grow[c]).bit_count() <= target:
+                    later.append(c)
+            if len(later) >= left - 1:
+                extend(acc_b, b_mask | 1 << b, later, left - 1)
 
-    extend(0, 0, 0, k)
+    extend(0, 0, [b for b in range(p) if grow[b].bit_count() <= target], k)
     return hits
 
 
-def _outer_masks(p: int, k: int, prune: bool, shard: int, shards: int) -> Iterator[int]:
-    # one shard's strided share of the outer sets A: orbit representatives
-    # (which all contain 0) when pruning, every k-subset otherwise
-    full = (1 << p) - 1
-    if prune:
-        outer = ((0, *rest) for rest in itertools.combinations(range(1, p), k - 1))
-    else:
-        outer = itertools.combinations(range(p), k)
-    for elems in itertools.islice(outer, shard, None, shards):
-        mask = sum(1 << e for e in elems)
-        if not prune or _is_orbit_rep(mask, elems, p, full):
-            yield mask
-
-
 def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
-    # how many outer sets the shard walked, and the canonical masks of its hits
-    p, k, target, prune, shard, shards = args
+    # how many outer sets the shard walked, and the canonical masks of its
+    # hits; unpruned, each A is first mapped to its rep, carrying B along
+    p, k, target, prune, roots = args
     full = (1 << p) - 1
     walked = 0
     pairs = set()
-    for a_mask in _outer_masks(p, k, prune, shard, shards):
-        walked += 1
-        for b_mask in _extremal_bs(a_mask, p, k, target, full):
-            pairs.add(_canonical_masks(a_mask, b_mask, p, full))
+    for root in roots:
+        for a_mask in _outer_sets(root, k, p, k, prune):
+            walked += 1
+            bs = _extremal_bs(a_mask, p, k, target, full)
+            if not bs:
+                continue
+            if not prune:
+                lam, mu = _least_map(a_mask, p)
+                a_mask = _image(a_mask, lam, mu, p)
+                bs = [_image(b_mask, lam, mu, p) for b_mask in bs]
+            stab = _stabiliser(a_mask, p, full)
+            for b_mask in bs:
+                pair = _orbit_pair(a_mask, b_mask, stab, p, full)
+                if pair is not None:
+                    pairs.add(pair)
     return walked, pairs
 
 
@@ -316,13 +391,18 @@ def _run_shards(worker, arg_list):
         return list(pool.map(worker, arg_list))
 
 
+def _outer_roots(p: int, k: int, prune: bool) -> list[int]:
+    # the prefixes that shards grow into outer sets, in lex order
+    return list(_outer_sets(0, max(0, k - _ROOT_LAG), p, k, prune))
+
+
 def _scan_extremal_pairs(
     prime: Prime, k: int, target: int, prune: bool, workers: int
 ) -> tuple[int, list[PairRecord]]:
     p = prime.value
-    outer = comb(p - 1, k - 1) if prune else comb(p, k)
-    shards = _pool_size(workers, outer)
-    arg_list = [(p, k, target, prune, s, shards) for s in range(shards)]
+    roots = _outer_roots(p, k, prune)
+    shards = _pool_size(workers, len(roots))
+    arg_list = [(p, k, target, prune, roots[s::shards]) for s in range(shards)]
     results = _run_shards(_extremal_shard, arg_list)
 
     # logical count: every walked A is paired with all C(p, k) sets B
@@ -400,14 +480,14 @@ def verify_main_theorem(
     )
 
 
-def _ap_sets_of_size(prime: Prime, k: int) -> list[FpSet]:
-    p = prime.value
-    seen = {
-        tuple(sorted((s + t * d) % p for t in range(k)))
-        for s in range(p)
-        for d in range(1, p)
-    }
-    return [FpSet(prime, elems) for elems in sorted(seen)]
+def _converse_exceptions(prime: Prime, k: int) -> list[PairRecord]:
+    # every size-k progression is an affine image of {0, ..., k-1}, and
+    # |A+.A| is affine-invariant, so one check covers them all
+    base = FpSet(prime, tuple(range(k)))
+    if len(restricted_sumset(base, base)) == min(prime.value, 2 * k - 3):
+        return []
+    # a diagonal pair: swapping it changes nothing
+    return [make_pair_record(*canonical_pair(base, base).sets)]
 
 
 def verify_karolyi_inverse(
@@ -432,14 +512,7 @@ def verify_karolyi_inverse(
     exceptions = [
         r for r in records if not (r.sets_equal and r.ap_witness is not None)
     ]
-    required = min(prime.value, 2 * k - 3)
-    converse = {}
-    for ap_set in _ap_sets_of_size(prime, k):
-        if len(restricted_sumset(ap_set, ap_set)) != required:
-            # a diagonal pair: swapping it changes nothing
-            ca, cb = canonical_pair(ap_set, ap_set).sets
-            converse[(ca.elements, cb.elements)] = (ca, cb)
-    exceptions.extend(make_pair_record(a, b) for _, (a, b) in sorted(converse.items()))
+    exceptions.extend(_converse_exceptions(prime, k))
     flags = {
         "k_ge_5": k >= 5,
         "p_gt_2k_minus_3": prime.value > 2 * k - 3,

@@ -122,3 +122,58 @@ def brute_orbit_reps(p, k):
         done |= orbit
         reps.add(min(orbit))
     return reps
+
+
+def _mask_elements(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def _canonical_masks(a_mask, b_mask, p, full):
+    """Lex-least common image of a mask pair over both orders: a second dedup path.
+
+    Scans every x -> lam*x - t with t in lam*X for both orders (X, Y) of the
+    pair, comparing equal-size masks by "X <lex Y iff the lowest bit of X^Y
+    is in X", first sets first.
+    """
+    best_x = best_y = full + 1  # above every candidate: the first one wins
+    a_elems = _mask_elements(a_mask)
+    b_elems = _mask_elements(b_mask)
+    for lam in range(1, p):
+        a_dil = [lam * e % p for e in a_elems]
+        b_dil = [lam * e % p for e in b_elems]
+        a_img = sum(1 << d for d in a_dil)
+        b_img = sum(1 << d for d in b_dil)
+        for x_dil, x_img, y_img in ((a_dil, a_img, b_img), (b_dil, b_img, a_img)):
+            for t in x_dil:
+                # x -> x - t is a right rotation by t
+                x = (x_img >> t | x_img << (p - t)) & full
+                diff = x ^ best_x
+                if diff & -diff & best_x:
+                    continue
+                y = (y_img >> t | y_img << (p - t)) & full
+                if diff:
+                    best_x, best_y = x, y
+                else:
+                    diff = y ^ best_y
+                    if diff & -diff & y:
+                        best_y = y
+    return best_x, best_y
+
+
+def ap_converse_exceptions(p, k):
+    """Canonical diagonal pairs of the size-k progressions with |A+.A| != min(p, 2k-3).
+
+    Loops over every progression {s + t*d} (d != 0) and canonicalises each
+    failing one, so it shares nothing with the one-set check it is compared to.
+    """
+    progressions = {
+        tuple(sorted((s + t * d) % p for t in range(k)))
+        for s in range(p)
+        for d in range(1, p)
+    }
+    required = min(p, 2 * k - 3)
+    return sorted({
+        brute_canonical_pair(ap, ap, p)
+        for ap in progressions
+        if len(brute_restricted(ap, ap, p)) != required
+    })

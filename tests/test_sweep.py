@@ -1,7 +1,11 @@
+import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -25,14 +29,21 @@ from sumsetlab import sweep
 from sumsetlab.sets import _mask_elements, canonical_pair
 from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
-    _canonical_masks,
+    _converse_exceptions,
     _extremal_bs,
     _extremal_shard,
-    _outer_masks,
+    _image,
+    _least_map,
+    _orbit_pair,
+    _outer_roots,
+    _outer_sets,
     _pool_size,
+    _stabiliser,
 )
 
+import oracles
 from oracles import (
+    ap_converse_exceptions,
     brute_canonical_pair,
     brute_orbit_reps,
     brute_restricted,
@@ -43,6 +54,10 @@ from oracles import (
 
 def _mask(elems):
     return sum(1 << e for e in elems)
+
+
+def _orbit_reps(p, k):
+    return [_mask_elements(m) for m in _outer_sets(0, k, p, k, True)]
 
 
 def test_enumerate_counts_and_order():
@@ -115,6 +130,7 @@ def test_pruning_soundness():
         (verify_main_theorem, 11, 4, None),
         (verify_main_theorem, 11, 6, None),
         (verify_main_theorem, 11, 4, 6),
+        (verify_main_theorem, 13, 7, None),
         (verify_karolyi_inverse, 7, 5, None),
     )
     for verify, p, k, target in cases:
@@ -137,23 +153,40 @@ def test_orbit_reps_match_burnside_count():
     expected = {(13, 6): 14, (17, 7): 75, (17, 8): 95, (19, 8): 228, (19, 9): 280}
     for (p, k), count in expected.items():
         assert burnside_orbit_count(p, k) == count
-        assert sum(1 for _ in _outer_masks(p, k, True, 0, 1)) == count
+        assert len(_orbit_reps(p, k)) == count
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, p + 1):
+            assert len(_orbit_reps(p, k)) == burnside_orbit_count(p, k)
 
 
 def test_orbit_reps_are_lex_least_images():
-    for p in (2, 3, 5, 7, 11):
+    # the orderly generator against lex-least images over whole orbits
+    for p in (2, 3, 5, 7, 11, 13):
         for k in range(1, p + 1):
-            reps = [_mask_elements(m) for m in _outer_masks(p, k, True, 0, 1)]
+            reps = _orbit_reps(p, k)
+            assert reps == sorted(reps)
             assert len(reps) == len(set(reps))
             assert set(reps) == brute_orbit_reps(p, k)
 
 
 def test_strided_shards_partition_outer_sets():
-    for prune in (True, False):
-        whole = list(_outer_masks(13, 5, prune, 0, 1))
-        for shards in (2, 3, 7):
-            parts = [m for s in range(shards) for m in _outer_masks(13, 5, prune, s, shards)]
-            assert sorted(parts) == sorted(whole)
+    for p, k in ((13, 5), (13, 7), (11, 6)):
+        for prune in (True, False):
+            roots = _outer_roots(p, k, prune)
+            whole = list(_outer_sets(0, k, p, k, prune))
+            if not prune:
+                assert whole == [_mask(c) for c in itertools.combinations(range(p), k)]
+            for shards in (1, 2, 3, 7):
+                parts = [
+                    a
+                    for s in range(shards)
+                    for root in roots[s::shards]
+                    for a in _outer_sets(root, k, p, k, prune)
+                ]
+                assert sorted(parts) == sorted(whole)
+                assert len(parts) == len(set(parts))
+    # more shards than prefixes: the surplus shards get nothing to do
+    assert len(_outer_roots(13, 5, True)) < 7
 
 
 def _brute_unordered_canonical(a, b, p):
@@ -178,31 +211,71 @@ def test_unpruned_walk_matches_naive_double_loop():
                 for b_mask in _extremal_bs(_mask(a), p, k, target, full)
             }
             assert raw == {(_mask(a), _mask(b)) for a, b in naive}
-            walked, pairs = _extremal_shard((p, k, target, False, 0, 1))
+            walked, pairs = _extremal_shard((p, k, target, False, _outer_roots(p, k, False)))
             assert walked == len(subsets)
             orbits = {_brute_unordered_canonical(a, b, p) for a, b in naive}
             assert pairs == {(_mask(a), _mask(b)) for a, b in orbits}
 
 
+def _orbit_pair_elements(a, b, p):
+    # the dedup kernel on the hit (A, B) as the unpruned walk feeds it: A is
+    # mapped to its rep and B is carried along
+    full = (1 << p) - 1
+    lam, mu = _least_map(_mask(a), p)
+    rep = _image(_mask(a), lam, mu, p)
+    pair = _orbit_pair(rep, _image(_mask(b), lam, mu, p), _stabiliser(rep, p, full), p, full)
+    return pair and (_mask_elements(pair[0]), _mask_elements(pair[1]))
+
+
 def _canonical_elements(a, b, p):
-    ca, cb = _canonical_masks(_mask(a), _mask(b), p, (1 << p) - 1)
-    return _mask_elements(ca), _mask_elements(cb)
+    # a pair's orbit is kept from the order whose first set has the lesser rep
+    return _orbit_pair_elements(a, b, p) or _orbit_pair_elements(b, a, p)
+
+
+def _check_orbit_pair(a, b, p, reps):
+    # reps caches each set's lex-least image, as in oracles.brute_orbit_reps
+    a, b = tuple(a), tuple(b)
+    for x in (a, b):
+        if x not in reps:
+            reps[x] = brute_canonical_pair(x, x, p)[0]
+    expected = _brute_unordered_canonical(a, b, p)
+    got = _orbit_pair_elements(a, b, p)
+    if reps[b] < reps[a]:
+        assert got is None
+        got = _orbit_pair_elements(b, a, p)
+    assert got == expected
+    second = oracles._canonical_masks(_mask(a), _mask(b), p, (1 << p) - 1)
+    assert tuple(map(_mask_elements, second)) == expected
 
 
 def test_canonical_masks_match_brute_force():
     for p in (5, 7):
+        reps = {}
         for k in range(1, p + 1):
             subsets = list(itertools.combinations(range(p), k))
             for a in subsets:
                 for b in subsets:
-                    assert _canonical_elements(a, b, p) == _brute_unordered_canonical(a, b, p)
+                    _check_orbit_pair(a, b, p, reps)
     rng = random.Random(20241)
     for p in (11, 13):
         for _ in range(200):
             k = rng.randint(1, p)
             a = sorted(rng.sample(range(p), k))
             b = sorted(rng.sample(range(p), k))
-            assert _canonical_elements(a, b, p) == _brute_unordered_canonical(a, b, p)
+            _check_orbit_pair(a, b, p, {})
+
+
+def test_stabiliser_fixes_the_rep():
+    for p in (5, 7, 11):
+        for k in range(1, p + 1):
+            for rep in _orbit_reps(p, k):
+                maps = {
+                    (lam, mu)
+                    for lam in range(1, p)
+                    for mu in range(p)
+                    if sorted((lam * x + mu) % p for x in rep) == list(rep)
+                }
+                assert sorted(_stabiliser(_mask(rep), p, (1 << p) - 1)) == sorted(maps)
 
 
 def test_canonical_masks_invariant_under_affine_maps_and_swap():
@@ -268,10 +341,49 @@ def test_reports_deterministic_across_workers():
     base = report_to_json(verify_main_theorem(11, 4, workers=1))
     assert report_to_json(verify_main_theorem(11, 4, workers=3)) == base
     assert report_to_json(verify_main_theorem(11, 4, workers=8)) == base
+    # main (13, 7): 43 orbits below p; prefixes dealt to more shards than
+    # the CPU clamp allows still give the same walked count and orbits
+    single = verify_main_theorem(13, 7, workers=1)
+    assert single.extremal_count == 43
+    assert report_to_json(verify_main_theorem(13, 7, workers=2)) == report_to_json(single)
+    roots = _outer_roots(13, 7, True)
+    dealt = {}
+    for shards in (1, 2, 3, 7):
+        results = [_extremal_shard((13, 7, 12, True, roots[s::shards])) for s in range(shards)]
+        dealt[shards] = (sum(r[0] for r in results), set().union(*(r[1] for r in results)))
+    assert dealt[1][0] == burnside_orbit_count(13, 7)
+    assert len(dealt[1][1]) == 43
+    assert all(dealt[shards] == dealt[1] for shards in dealt)
     # each shard returns its own set of orbits; the parent takes their union
     single = verify_karolyi_inverse(11, 7, workers=1)
     assert single.extremal_count == 518
     assert report_to_json(verify_karolyi_inverse(11, 7, workers=2)) == report_to_json(single)
+
+
+# report sha256 computed before the orderly generator, the candidate-filtered
+# walk and the dedup against the outer rep replaced the earlier engine
+REPORT_PINS = {
+    ("main", 13, 7): "26ca234cbec43ccd902f7df5e499648b1f88f1a45514f32f3d7cf493496b4f59",
+    ("main", 17, 9): "69eaf0098c0957374b7723ba598fd75f3080398c6297cc2ebca14b98762bb719",
+    ("karolyi", 11, 7): "0e8029ad8f45aace6fb6b63f58028aca98e1401b3ff0678cb27792b3b8449562",
+}
+
+
+def test_report_pins(monkeypatch):
+    verify = {"main": verify_main_theorem, "karolyi": verify_karolyi_inverse}
+    for (kind, p, k), pin in REPORT_PINS.items():
+        for workers in (1, 2):
+            doc = report_to_json(verify[kind](p, k, workers=workers))
+            assert hashlib.sha256(doc.encode()).hexdigest() == pin, (kind, p, k, workers)
+    # the same bytes the benchmark pins for boundary-p17k9
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    (op,) = workloads.WORKLOADS["boundary-p17k9"].ops
+    assert op.args == ("main", "-p", "17", "-k", "9")
+    assert op.pin.sha256 == REPORT_PINS[("main", 17, 9)]
 
 
 def test_extremal_scan_matches_brute_force():
@@ -317,6 +429,21 @@ def test_karolyi_sweep_both_directions():
     small = verify_karolyi_inverse(11, 3)
     assert not small.expectation_checked
     assert small.passed
+
+
+def test_karolyi_converse_matches_progression_loop():
+    # one check of {0, ..., k-1} against every progression of size k; at
+    # k = 1 the converse fails by design (|A+.A| = 0, required min(p, -1))
+    for p in (5, 7, 11):
+        for k in range(1, p + 1):
+            got = _converse_exceptions(Prime(p), k)
+            expected = ap_converse_exceptions(p, k)
+            assert [(r.a.elements, r.b.elements) for r in got] == expected
+            assert got == [make_pair_record(FpSet.of(p, a), FpSet.of(p, b)) for a, b in expected]
+            if k == 1:
+                assert len(got) == 1
+            report = verify_karolyi_inverse(p, k)
+            assert report.counterexamples[len(report.counterexamples) - len(got):] == got
 
 
 def test_bounds_sweep_small_primes():
