@@ -25,7 +25,7 @@ from .poly import (
     UniPoly,
     cij,
     elementary_symmetric,
-    homogeneous_components,
+    homogeneous_components,  # unused here; benchmarks/spans.py wraps it in this module
     build_locus_poly,
     roots_over_fp,
     sigma_expansion,
@@ -148,12 +148,15 @@ def extract_grids(w: CnWitness, k: int) -> tuple[CoefficientGrid, CoefficientGri
     for name, h in (("h_A", w.h_a), ("h_B", w.h_b)):
         if not h.is_zero and h.total_degree > k - 1:
             raise DegreeTooHigh(f"{name} has degree {h.total_degree}, need <= {k - 1}")
-    rows_a = tuple(
-        tuple(w.h_a.get(j, i - j) for j in range(i + 1)) for i in range(k)
-    )
-    rows_b = tuple(
-        tuple(w.h_b.get(i - j, j) for j in range(i + 1)) for i in range(k)
-    )
+    # built from lists: tuple() of a generator over-allocates and resizes, so
+    # each freed row sits on CPython's per-size tuple free list until a full
+    # collection, and the audit's peak memory creeps up between collections
+    rows_a = tuple([
+        tuple([w.h_a.get(j, i - j) for j in range(i + 1)]) for i in range(k)
+    ])
+    rows_b = tuple([
+        tuple([w.h_b.get(i - j, j) for j in range(i + 1)]) for i in range(k)
+    ])
     return CoefficientGrid(k, rows_a), CoefficientGrid(k, rows_b)
 
 
@@ -204,9 +207,9 @@ def _sign(exp: int, p: int) -> int:
     return 1 if exp % 2 == 0 else p - 1
 
 
-def _odd_step(i, k, p, fc, grid_a, grid_b, sig_a, sig_b, records):
+def _odd_step(i, k, p, f, grid_a, grid_b, sig_a, sig_b, records):
     r = (i - 1) // 2
-    lhs = fc.get(k - r - 1, k - r - 1)
+    lhs = f.get(k - r - 1, k - r - 1)
     total = 0
     for j in range(r + 1):
         term = (
@@ -239,10 +242,10 @@ def _odd_step(i, k, p, fc, grid_a, grid_b, sig_a, sig_b, records):
     )
 
 
-def _even_step(i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, records):
+def _even_step(i, k, p, prime, f, grid_a, grid_b, sig_a, sig_b, sig_c, records):
     r = i // 2
     # coefficient of x^(k-r-1) y^(k-r): B-side terms plus the shorter A-side sum
-    lhs_low = fc.get(k - r - 1, k - r)
+    lhs_low = f.get(k - r - 1, k - r)
     sum_low = 0
     for j in range(r + 1):
         sum_low += _sign(r + j, p) * sig_b[r + j] * grid_b.entry(k - r - 1 + j, j)
@@ -251,7 +254,7 @@ def _even_step(i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, records)
     sum_low %= p
     records.append(CheckRecord(i, "even", "even_grid_identity_low", lhs_low, sum_low, "eq"))
     # mirrored monomial x^(k-r) y^(k-r-1)
-    lhs_high = fc.get(k - r, k - r - 1)
+    lhs_high = f.get(k - r, k - r - 1)
     sum_high = 0
     for j in range(r + 1):
         sum_high += _sign(r + j, p) * sig_a[r + j] * grid_a.entry(k - r - 1 + j, j)
@@ -356,15 +359,14 @@ def audit_sigma_chain(
     sig_a = elementary_symmetric(set_a).values
     sig_b = elementary_symmetric(set_b).values
     sig_c = elementary_symmetric(locus).values
-    comps = homogeneous_components(f)
 
+    # step i reads f's coefficients of total degree 2k-1-i
     for i in range(1, k):
-        fc = comps[2 * k - 1 - i]
         if i % 2 == 1:
-            summary = _odd_step(i, k, p, fc, grid_a, grid_b, sig_a, sig_b, trace.records)
+            summary = _odd_step(i, k, p, f, grid_a, grid_b, sig_a, sig_b, trace.records)
         else:
             summary = _even_step(
-                i, k, p, prime, fc, grid_a, grid_b, sig_a, sig_b, sig_c, trace.records
+                i, k, p, prime, f, grid_a, grid_b, sig_a, sig_b, sig_c, trace.records
             )
         trace.steps.append(summary)
         row = k - i - 1

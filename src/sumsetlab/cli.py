@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from .audit import audit_sigma_chain
 from .errors import (
@@ -77,8 +78,14 @@ def _parse_set(text: str, prime: Prime) -> FpSet:
     return FpSet.of(prime, reduced)
 
 
-def _emit(line: str, sink):
-    sink.write(line + "\n")
+@contextmanager
+def _output(path: str | None):
+    # the file named by --out, or stdout when none is given
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as handle:
+        yield handle
 
 
 def cmd_sumset(args) -> int:
@@ -134,23 +141,17 @@ def cmd_cn(args) -> int:
         print(f"no witness: f({x}, {y}) = {exc.value} != 0", file=sys.stderr)
         return EXIT_MATH
     verdict = verify_witness(f, witness)
-    out = sys.stdout
-    if args.out:
-        out = open(args.out, "w")
-    try:
-        _emit(f"# f: degree {f.total_degree} over p={prime.value}", out)
-        _emit("h_A:", out)
-        _emit(witness.h_a.to_text(), out)
-        _emit("h_B:", out)
-        _emit(witness.h_b.to_text(), out)
+    with _output(args.out) as out:
+        print(f"# f: degree {f.total_degree} over p={prime.value}", file=out)
+        print("h_A:", file=out)
+        print(witness.h_a.to_text(), file=out)
+        print("h_B:", file=out)
+        print(witness.h_b.to_text(), file=out)
         da = witness.h_a.total_degree
         db = witness.h_b.total_degree
-        _emit(f"deg(h_A) = {da} (bound {witness.degree_bound_a})", out)
-        _emit(f"deg(h_B) = {db} (bound {witness.degree_bound_b})", out)
-        _emit(f"verdict: {'valid' if verdict.ok else 'INVALID: ' + verdict.failure}", out)
-    finally:
-        if args.out:
-            out.close()
+        print(f"deg(h_A) = {da} (bound {witness.degree_bound_a})", file=out)
+        print(f"deg(h_B) = {db} (bound {witness.degree_bound_b})", file=out)
+        print(f"verdict: {'valid' if verdict.ok else 'INVALID: ' + verdict.failure}", file=out)
     return EXIT_OK if verdict.ok else EXIT_MATH
 
 
@@ -163,45 +164,44 @@ def cmd_audit(args) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    out = sys.stdout
-    if args.out:
-        out = open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         if trace.warning:
-            _emit(f"# warning: {trace.warning}", out)
+            print(f"# warning: {trace.warning}", file=out)
         for line in trace.iter_lines():
-            _emit(line, out)
+            print(line, file=out)
         if args.show_closed_forms:
             for step in trace.steps:
                 if step.parity == "even":
-                    _emit(
+                    print(
                         f"closed-form step={step.index} denominator: "
                         f"direct={step.denominator} "
                         f"closed={step.denominator_closed_form}",
-                        out,
+                        file=out,
                     )
                 else:
                     agrees = step.pivot_closed_form_agrees
-                    _emit(
+                    print(
                         f"closed-form step={step.index} pivot: "
                         f"direct={step.pivot} closed={step.pivot_closed_form} "
                         f"agrees={'n/a' if agrees is None else str(agrees).lower()}",
-                        out,
+                        file=out,
                     )
         failed = trace.failed_records()
-        _emit(
+        print(
             f"# trace: {'clean' if trace.clean else f'{len(failed)} failed checks'}; "
             f"A == B: {str(trace.sets_equal).lower()}",
-            out,
+            file=out,
         )
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK if trace.clean else EXIT_MATH
 
 
 def cmd_verify(args) -> int:
     prime = _parse_prime(args.prime)
+    if args.theorem == "bounds":
+        # the bounds sweep covers every pair of subsets at any size
+        for flag, value in (("-k", args.k), ("--target", args.target)):
+            if value is not None:
+                raise _ParseFailure(f"{flag} does not apply to the bounds sweep")
     out_path = args.out
     if out_path is None:
         kpart = f"-k{args.k}" if args.theorem != "bounds" else ""
@@ -230,7 +230,6 @@ def cmd_verify(args) -> int:
             prime,
             args.k,
             workers=args.workers,
-            prune=not args.no_prune,
             target=args.target,
             **guard,
         )
@@ -320,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="report file path")
     sp.add_argument("--ceiling", type=int, default=None,
                     help="exhaustive ceiling override for p")
-    sp.add_argument("--no-prune", action="store_true",
-                    help="scan every A, not only affine orbit representatives")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("enumerate", help="stream k-subsets in lexicographic order")

@@ -8,8 +8,7 @@ sweep over all nonempty pairs. The first two share one bitmask engine:
 - the outer set A runs over affine-orbit representatives, grown depth-first
   from {0} by orderly generation (a representative stays one when its
   largest element is dropped, so non-representatives are pruned with their
-  subtrees); unpruned, it runs over every k-subset. Shards take the
-  prefixes of size k-3 by stride;
+  subtrees). Shards take the prefixes of size k-3 by stride;
 - for each A a depth-first walk over B in increasing order carries the
   later elements whose single extension still fits the target, and cuts a
   branch once fewer are left than it needs;
@@ -246,11 +245,11 @@ def _is_orbit_rep(mask: int, elems: tuple[int, ...], p: int, full: int) -> bool:
     return True
 
 
-def _outer_sets(root: int, size: int, p: int, k: int, prune: bool) -> Iterator[int]:
-    # the sets of the given size grown from root by elements above its
-    # maximum that can still reach k elements; pruned, only orbit reps are
-    # grown (orderly generation: a rep stays a rep when its largest element
-    # is dropped, so no rep lies above a non-rep)
+def _outer_sets(root: int, size: int, p: int, k: int) -> Iterator[int]:
+    # the orbit reps of the given size grown from root by elements above its
+    # maximum that can still reach k elements (orderly generation: a rep
+    # stays a rep when its largest element is dropped, so no rep lies above
+    # a non-rep)
     have = root.bit_count()
     if have == size:
         yield root
@@ -258,25 +257,13 @@ def _outer_sets(root: int, size: int, p: int, k: int, prune: bool) -> Iterator[i
     full = (1 << p) - 1
     for e in range(root.bit_length(), p - k + have + 1):
         mask = root | 1 << e
-        if not prune or _is_orbit_rep(mask, _mask_elements(mask), p, full):
-            yield from _outer_sets(mask, size, p, k, prune)
+        if _is_orbit_rep(mask, _mask_elements(mask), p, full):
+            yield from _outer_sets(mask, size, p, k)
 
 
 def _image(mask: int, lam: int, mu: int, p: int) -> int:
     # the mask of lam*X + mu
     return sum(1 << (lam * e + mu) % p for e in _mask_elements(mask))
-
-
-def _least_map(mask: int, p: int) -> tuple[int, int]:
-    # the first map x -> lam*x + mu sending X to its least image, by sorted
-    # tuples over every map: the unpruned path's check on the orbit reps
-    elems = _mask_elements(mask)
-    _, lam, mu = min(
-        (sorted((lam * e + mu) % p for e in elems), lam, mu)
-        for lam in range(1, p)
-        for mu in range(p)
-    )
-    return lam, mu
 
 
 def _stabiliser(a_mask: int, p: int, full: int) -> list[tuple[int, int]]:
@@ -360,22 +347,17 @@ def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[in
 
 
 def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
-    # how many outer sets the shard walked, and the canonical masks of its
-    # hits; unpruned, each A is first mapped to its rep, carrying B along
-    p, k, target, prune, roots = args
+    # how many orbit reps the shard walked, and the canonical masks of its hits
+    p, k, target, roots = args
     full = (1 << p) - 1
     walked = 0
     pairs = set()
     for root in roots:
-        for a_mask in _outer_sets(root, k, p, k, prune):
+        for a_mask in _outer_sets(root, k, p, k):
             walked += 1
             bs = _extremal_bs(a_mask, p, k, target, full)
             if not bs:
                 continue
-            if not prune:
-                lam, mu = _least_map(a_mask, p)
-                a_mask = _image(a_mask, lam, mu, p)
-                bs = [_image(b_mask, lam, mu, p) for b_mask in bs]
             stab = _stabiliser(a_mask, p, full)
             for b_mask in bs:
                 pair = _orbit_pair(a_mask, b_mask, stab, p, full)
@@ -391,21 +373,21 @@ def _run_shards(worker, arg_list):
         return list(pool.map(worker, arg_list))
 
 
-def _outer_roots(p: int, k: int, prune: bool) -> list[int]:
-    # the prefixes that shards grow into outer sets, in lex order
-    return list(_outer_sets(0, max(0, k - _ROOT_LAG), p, k, prune))
+def _outer_roots(p: int, k: int) -> list[int]:
+    # the prefixes that shards grow into orbit reps, in lex order
+    return list(_outer_sets(0, max(0, k - _ROOT_LAG), p, k))
 
 
 def _scan_extremal_pairs(
-    prime: Prime, k: int, target: int, prune: bool, workers: int
+    prime: Prime, k: int, target: int, workers: int
 ) -> tuple[int, list[PairRecord]]:
     p = prime.value
-    roots = _outer_roots(p, k, prune)
+    roots = _outer_roots(p, k)
     shards = _pool_size(workers, len(roots))
-    arg_list = [(p, k, target, prune, roots[s::shards]) for s in range(shards)]
+    arg_list = [(p, k, target, roots[s::shards]) for s in range(shards)]
     results = _run_shards(_extremal_shard, arg_list)
 
-    # logical count: every walked A is paired with all C(p, k) sets B
+    # logical count: every walked rep A is paired with all C(p, k) sets B
     scanned = sum(r[0] for r in results) * comb(p, k)
     orbits = sorted(
         (_mask_elements(a_mask), _mask_elements(b_mask))
@@ -444,7 +426,6 @@ def verify_main_theorem(
     k: int,
     *,
     workers: int = 1,
-    prune: bool = True,
     target: int | None = None,
     ceiling: int = DEFAULT_THEOREM_CEILING,
 ) -> SweepReport:
@@ -454,13 +435,14 @@ def verify_main_theorem(
     p > 2k-1 the counterexample list must come back empty. At p = 2k-1
     attaining pairs with A != B do exist (e.g. p=11, k=6), so the report
     records them without asserting emptiness; both modulus flags are kept
-    so the boundary is visible. Found pairs are stored canonically
-    (deduplicated up to simultaneous affine maps and swap), so pruned and
-    unpruned scans produce identical lists.
+    so the boundary is visible. Only affine-orbit representatives A are
+    walked, and found pairs are stored canonically (one per orbit under
+    simultaneous affine maps and swap); pairs_scanned counts every walked A
+    against all C(p, k) sets B.
     """
     prime = as_prime(p)
     target = _theorem_target(prime, k, target, 2 * k - 2, ceiling)
-    scanned, records = _scan_extremal_pairs(prime, k, target, prune, workers)
+    scanned, records = _scan_extremal_pairs(prime, k, target, workers)
     flags = {
         "k_ge_5": k >= 5,
         "p_gt_2k_minus_2": prime.value > 2 * k - 2,
@@ -471,7 +453,7 @@ def verify_main_theorem(
         p=prime.value,
         k=k,
         target_size=target,
-        pruned=prune,
+        pruned=True,
         pairs_scanned=scanned,
         extremal_pairs=records,
         counterexamples=[r for r in records if not r.sets_equal],
@@ -495,7 +477,6 @@ def verify_karolyi_inverse(
     k: int,
     *,
     workers: int = 1,
-    prune: bool = True,
     target: int | None = None,
     ceiling: int = DEFAULT_THEOREM_CEILING,
 ) -> SweepReport:
@@ -508,7 +489,7 @@ def verify_karolyi_inverse(
     """
     prime = as_prime(p)
     target = _theorem_target(prime, k, target, 2 * k - 3, ceiling)
-    scanned, records = _scan_extremal_pairs(prime, k, target, prune, workers)
+    scanned, records = _scan_extremal_pairs(prime, k, target, workers)
     exceptions = [
         r for r in records if not (r.sets_equal and r.ap_witness is not None)
     ]
@@ -522,7 +503,7 @@ def verify_karolyi_inverse(
         p=prime.value,
         k=k,
         target_size=target,
-        pruned=prune,
+        pruned=True,
         pairs_scanned=scanned,
         extremal_pairs=records,
         counterexamples=exceptions,
@@ -613,13 +594,13 @@ def verify_bounds(
 
 
 def audit_all_extremal(
-    p: Prime | int, k: int, *, workers: int = 1, prune: bool = True
+    p: Prime | int, k: int, *, workers: int = 1
 ) -> Iterator[AuditTrace]:
     """Replay the coefficient-identity chain on every extremal pair found.
 
     Pairs come from the diagonal-equality sweep in canonical sorted order;
     each trace must be clean when k >= 5 and p > 2k-1.
     """
-    report = verify_main_theorem(p, k, workers=workers, prune=prune)
+    report = verify_main_theorem(p, k, workers=workers)
     for record in report.extremal_pairs:
         yield audit_sigma_chain(record.a, record.b)

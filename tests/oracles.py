@@ -128,6 +128,21 @@ def _mask_elements(mask):
     return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
+def _least_map(mask, p):
+    """The first map x -> lam*x + mu sending X to its least image.
+
+    Compares sorted tuples over every map, so it shares nothing with the
+    orderly generator's bit tests.
+    """
+    elems = _mask_elements(mask)
+    _, lam, mu = min(
+        (sorted((lam * e + mu) % p for e in elems), lam, mu)
+        for lam in range(1, p)
+        for mu in range(p)
+    )
+    return lam, mu
+
+
 def _canonical_masks(a_mask, b_mask, p, full):
     """Lex-least common image of a mask pair over both orders: a second dedup path.
 

@@ -188,13 +188,17 @@ def test_verify_guard_keeps_existing_report(tmp_path):
         # checked before the sweep, whose ceiling guard would exit 4
         ["verify", "main", "-p", "23", "-k", "3", "--out", "missing/report.json"],
         ["verify", "bounds", "-p", "17", "--out", "."],
+        # the bounds sweep takes no subset size or target
+        ["verify", "bounds", "-p", "7", "-k", "3"],
+        ["verify", "bounds", "-p", "7", "--target", "2"],
     ],
     ids=[
         "enumerate-k0", "enumerate-start-negative", "verify-k0", "target-above-p",
         "target-negative", "workers-zero", "bounds-workers-negative",
         "enumerate-k-above-p", "verify-k-above-p", "enumerate-limit-negative",
         "enumerate-limit-zero-k-above-p", "ceiling-negative", "bounds-ceiling-one",
-        "out-directory-missing", "out-is-directory",
+        "out-directory-missing", "out-is-directory", "bounds-k-given",
+        "bounds-target-given",
     ],
 )
 def test_out_of_range_input_exits_two(argv, tmp_path, capsys):
@@ -210,6 +214,16 @@ def test_out_of_range_input_exits_two(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.out == ""
     assert not out.is_file()
+
+
+def test_verify_rejects_no_prune(tmp_path, capsys):
+    # the orbit-rep walk is the only sweep path
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "main", "-p", "7", "-k", "3", "--no-prune", "--out", str(out)])
+    assert info.value.code == 2
+    assert "--no-prune" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_boundary_prime_records_but_does_not_fail(tmp_path, capsys):

@@ -33,7 +33,6 @@ from sumsetlab.sweep import (
     _extremal_bs,
     _extremal_shard,
     _image,
-    _least_map,
     _orbit_pair,
     _outer_roots,
     _outer_sets,
@@ -57,7 +56,7 @@ def _mask(elems):
 
 
 def _orbit_reps(p, k):
-    return [_mask_elements(m) for m in _outer_sets(0, k, p, k, True)]
+    return [_mask_elements(m) for m in _outer_sets(0, k, p, k)]
 
 
 def test_enumerate_counts_and_order():
@@ -122,10 +121,21 @@ def test_main_theorem_boundary_prime_has_recorded_counterexamples():
         assert len(restricted_sumset(rec.a, rec.b)) == 10
 
 
+def _every_subset_orbits(p, k, target):
+    # a walk of every k-subset A, each hit reduced by the second dedup
+    # kernel: shares neither the orderly generator nor _orbit_pair
+    full = (1 << p) - 1
+    orbits = set()
+    for a in itertools.combinations(range(p), k):
+        for b_mask in _extremal_bs(_mask(a), p, k, target, full):
+            orbits.add(oracles._canonical_masks(_mask(a), b_mask, p, full))
+    return sorted((_mask_elements(x), _mask_elements(y)) for x, y in orbits)
+
+
 def test_pruning_soundness():
-    # reports agree apart from the pruning flag and the logical pair count,
-    # also at the boundary p = 2k-1 (which has counterexamples), at a
-    # non-default target, and where the target reaches p (karolyi at (7, 5))
+    # the orbit-rep sweep against a walk of every k-subset, also at the
+    # boundary p = 2k-1 (which has counterexamples), at a non-default
+    # target, and where the target reaches p (karolyi at (7, 5))
     cases = (
         (verify_main_theorem, 11, 4, None),
         (verify_main_theorem, 11, 6, None),
@@ -134,19 +144,17 @@ def test_pruning_soundness():
         (verify_karolyi_inverse, 7, 5, None),
     )
     for verify, p, k, target in cases:
-        docs = {}
-        for prune in (True, False):
-            report = verify(p, k, prune=prune, target=target)
-            docs[prune] = json.loads(report_to_json(report))
-            assert docs[prune].pop("pruned") is prune
-        reps = burnside_orbit_count(p, k)
-        assert docs[True].pop("pairs_scanned") == reps * comb(p, k)
-        assert docs[False].pop("pairs_scanned") == comb(p, k) ** 2
-        assert docs[True] == docs[False]
-        assert docs[True]["extremal_pair_count"] > 0
+        report = verify(p, k, target=target)
+        assert report.pruned is True
+        assert report.pairs_scanned == burnside_orbit_count(p, k) * comb(p, k)
+        expected = _every_subset_orbits(p, k, report.target_size)
+        assert expected
+        assert report.extremal_pairs == [
+            make_pair_record(FpSet.of(p, a), FpSet.of(p, b)) for a, b in expected
+        ]
         if target is not None:
-            assert docs[True]["target_size"] == target
-    assert docs[True]["target_size"] == 7 == p
+            assert report.target_size == target
+    assert report.target_size == 7 == p
 
 
 def test_orbit_reps_match_burnside_count():
@@ -171,22 +179,19 @@ def test_orbit_reps_are_lex_least_images():
 
 def test_strided_shards_partition_outer_sets():
     for p, k in ((13, 5), (13, 7), (11, 6)):
-        for prune in (True, False):
-            roots = _outer_roots(p, k, prune)
-            whole = list(_outer_sets(0, k, p, k, prune))
-            if not prune:
-                assert whole == [_mask(c) for c in itertools.combinations(range(p), k)]
-            for shards in (1, 2, 3, 7):
-                parts = [
-                    a
-                    for s in range(shards)
-                    for root in roots[s::shards]
-                    for a in _outer_sets(root, k, p, k, prune)
-                ]
-                assert sorted(parts) == sorted(whole)
-                assert len(parts) == len(set(parts))
+        roots = _outer_roots(p, k)
+        whole = list(_outer_sets(0, k, p, k))
+        for shards in (1, 2, 3, 7):
+            parts = [
+                a
+                for s in range(shards)
+                for root in roots[s::shards]
+                for a in _outer_sets(root, k, p, k)
+            ]
+            assert sorted(parts) == sorted(whole)
+            assert len(parts) == len(set(parts))
     # more shards than prefixes: the surplus shards get nothing to do
-    assert len(_outer_roots(13, 5, True)) < 7
+    assert len(_outer_roots(13, 5)) < 7
 
 
 def _brute_unordered_canonical(a, b, p):
@@ -211,17 +216,17 @@ def test_unpruned_walk_matches_naive_double_loop():
                 for b_mask in _extremal_bs(_mask(a), p, k, target, full)
             }
             assert raw == {(_mask(a), _mask(b)) for a, b in naive}
-            walked, pairs = _extremal_shard((p, k, target, False, _outer_roots(p, k, False)))
-            assert walked == len(subsets)
+            walked, pairs = _extremal_shard((p, k, target, _outer_roots(p, k)))
+            assert walked == burnside_orbit_count(p, k)
             orbits = {_brute_unordered_canonical(a, b, p) for a, b in naive}
             assert pairs == {(_mask(a), _mask(b)) for a, b in orbits}
 
 
 def _orbit_pair_elements(a, b, p):
-    # the dedup kernel on the hit (A, B) as the unpruned walk feeds it: A is
-    # mapped to its rep and B is carried along
+    # the dedup kernel on the hit (A, B) with A mapped to its rep by a scan
+    # of every map and B carried along
     full = (1 << p) - 1
-    lam, mu = _least_map(_mask(a), p)
+    lam, mu = oracles._least_map(_mask(a), p)
     rep = _image(_mask(a), lam, mu, p)
     pair = _orbit_pair(rep, _image(_mask(b), lam, mu, p), _stabiliser(rep, p, full), p, full)
     return pair and (_mask_elements(pair[0]), _mask_elements(pair[1]))
@@ -332,11 +337,6 @@ def test_theorem_ceiling_guard():
             verify_bounds(5, ceiling=ceiling)
 
 
-def test_unpruned_scan_counts_ordered_pairs():
-    report = verify_main_theorem(7, 3, prune=False)
-    assert report.pairs_scanned == comb(7, 3) ** 2
-
-
 def test_reports_deterministic_across_workers():
     base = report_to_json(verify_main_theorem(11, 4, workers=1))
     assert report_to_json(verify_main_theorem(11, 4, workers=3)) == base
@@ -346,10 +346,10 @@ def test_reports_deterministic_across_workers():
     single = verify_main_theorem(13, 7, workers=1)
     assert single.extremal_count == 43
     assert report_to_json(verify_main_theorem(13, 7, workers=2)) == report_to_json(single)
-    roots = _outer_roots(13, 7, True)
+    roots = _outer_roots(13, 7)
     dealt = {}
     for shards in (1, 2, 3, 7):
-        results = [_extremal_shard((13, 7, 12, True, roots[s::shards])) for s in range(shards)]
+        results = [_extremal_shard((13, 7, 12, roots[s::shards])) for s in range(shards)]
         dealt[shards] = (sum(r[0] for r in results), set().union(*(r[1] for r in results)))
     assert dealt[1][0] == burnside_orbit_count(13, 7)
     assert len(dealt[1][1]) == 43
@@ -387,11 +387,12 @@ def test_report_pins(monkeypatch):
 
 
 def test_extremal_scan_matches_brute_force():
-    # p = 7, k = 3, target 2k-2 = 4: cross-check the full list of attaining
-    # unordered pairs against a naive double loop
-    target = 4
+    # p = 7, k = 4, target 2k-2 = 6 (98 ordered hits, most with A != B):
+    # cross-check the full list of attaining unordered pairs against a
+    # naive double loop
+    target = 6
     brute_hits = set()
-    subsets = list(itertools.combinations(range(7), 3))
+    subsets = list(itertools.combinations(range(7), 4))
     for i, a in enumerate(subsets):
         for b in subsets[i:]:
             if len(brute_restricted(a, b, 7)) == target:
@@ -400,9 +401,10 @@ def test_extremal_scan_matches_brute_force():
                 brute_hits.add(
                     min((ca.elements, cb.elements), (cb2.elements, ca2.elements))
                 )
-    report = verify_main_theorem(7, 3)
+    report = verify_main_theorem(7, 4)
     got = {(r.a.elements, r.b.elements) for r in report.extremal_pairs}
     assert got == brute_hits
+    assert any(a != b for a, b in got) and any(a == b for a, b in got)
 
 
 def test_pair_records_reproducible():
@@ -487,12 +489,13 @@ def test_audit_all_extremal_flags_boundary():
 
 
 def test_report_json_shape():
-    report = verify_main_theorem(7, 3)
+    report = verify_main_theorem(7, 4)
     doc = json.loads(report_to_json(report))
     assert doc["kind"] == "main"
-    assert doc["p"] == 7 and doc["k"] == 3
-    assert doc["target_size"] == 4
-    assert doc["extremal_pair_count"] == len(doc["extremal_pairs"])
+    assert doc["p"] == 7 and doc["k"] == 4
+    assert doc["target_size"] == 6
+    assert doc["pruned"] is True
+    assert doc["extremal_pair_count"] == len(doc["extremal_pairs"]) > 0
     for rec in doc["extremal_pairs"]:
         assert set(rec) == {
             "a", "b", "k", "restricted_size", "labels", "sets_equal", "ap_witness",
