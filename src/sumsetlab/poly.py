@@ -147,7 +147,8 @@ class BiPoly:
         while data and width and not any(row[width - 1] for row in data):
             width -= 1
             data = [row[:width] for row in data]
-        return cls(prime, tuple(tuple(row) for row in data))
+        # from a list, as in audit.extract_grids: see the note there
+        return cls(prime, tuple([tuple(row) for row in data]))
 
     @classmethod
     def zero(cls, p: Prime | int) -> "BiPoly":

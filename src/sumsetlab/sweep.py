@@ -3,21 +3,26 @@
 Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
-sweep over all nonempty pairs. The first two share one bitmask engine:
+sweep over all nonempty pairs. The first two share one bitmask engine, and
+one kernel in it scans the maps x -> lam*x + mu of a set onto a mask:
 
 - the outer set A runs over affine-orbit representatives, grown depth-first
   from {0} by orderly generation (a representative stays one when its
   largest element is dropped, so non-representatives are pruned with their
-  subtrees). Shards take the prefixes of size k-3 by stride;
+  subtrees). The kernel run on A onto itself is the rep test, and the maps
+  it finds are A's stabiliser;
 - for each A a depth-first walk over B in increasing order carries the
   later elements whose single extension still fits the target, and cuts a
   branch once fewer are left than it needs;
-- each hit (A, B) is reduced against the representative A: it is dropped
-  when an image of B is lex-below A, since that orbit is found again from
-  the representative of B, and otherwise kept as one canonical pair.
+- each hit (A, B) is reduced against the representative A by the kernel
+  run on B onto A: it is dropped when an image of B is lex-below A, since
+  that orbit is found again from the representative of B, and otherwise
+  kept as one canonical pair.
 
-Each shard returns one pair per orbit; the parent takes the union, so
-reports are byte-identical for any worker count.
+All three sweeps deal work to shards by stride: the theorem sweeps deal the
+rep prefixes of size k-3, the bounds sweep the nonempty masks A. The parent
+takes the union of the shards' results, so reports are byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -161,13 +166,17 @@ class SweepReport:
     p: int
     k: int | None
     target_size: int | None
-    pruned: bool
     pairs_scanned: int
     extremal_pairs: list[PairRecord] = dataclass_field(default_factory=list)
     counterexamples: list[PairRecord] = dataclass_field(default_factory=list)
     violations: list[dict] = dataclass_field(default_factory=list)
     hypothesis_flags: dict = dataclass_field(default_factory=dict)
     expectation_checked: bool = True
+
+    @property
+    def pruned(self) -> bool:
+        # the theorem sweeps walk orbit reps only; bounds scans every pair
+        return self.kind != "bounds"
 
     @property
     def extremal_count(self) -> int:
@@ -210,76 +219,54 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
-def _triangle_ranges(total: int, shards: int) -> list[tuple[int, int]]:
-    # balance contiguous outer ranges by the triangular inner-loop weight;
-    # _pool_size keeps 1 <= shards <= total
-    weights = [total - i for i in range(total)]
-    goal = sum(weights) / shards
-    ranges = []
-    lo = 0
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if acc >= goal and len(ranges) < shards - 1:
-            ranges.append((lo, i + 1))
-            lo = i + 1
-            acc = 0.0
-    ranges.append((lo, total))
-    return ranges
-
-
-def _is_orbit_rep(mask: int, elems: tuple[int, ...], p: int, full: int) -> bool:
-    # A is the lex-least image lam*A+mu of its orbit; equal-size X <lex Y iff
+def _maps_onto(
+    elems: tuple[int, ...], ref: int, p: int, full: int
+) -> list[tuple[int, int]] | None:
+    # the maps x -> lam*x + mu sending the set elems onto the mask ref, or
+    # None as soon as some image is lex-below ref; equal-size X <lex Y iff
     # the lowest bit of X^Y is in X, and only images with 0 compete (so a set
-    # without 0 is never a rep)
+    # without 0 is never a rep). With ref the set's own mask this is the
+    # orbit-rep test, and the maps it returns are the stabiliser.
+    maps = []
     for lam in range(1, p):
         image = 0
         for e in elems:
             image |= 1 << lam * e % p
         image |= image << p  # x -> x - t is now a shift right by t
         for e in elems:
-            shifted = image >> lam * e % p & full
-            diff = shifted ^ mask
-            if diff & -diff & shifted:
-                return False
-    return True
+            t = lam * e % p
+            y = image >> t & full
+            diff = y ^ ref
+            if not diff:
+                maps.append((lam, -t % p))
+            elif diff & -diff & y:
+                return None
+    return maps
 
 
-def _outer_sets(root: int, size: int, p: int, k: int) -> Iterator[int]:
+def _outer_sets(
+    root: int, size: int, p: int, k: int
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     # the orbit reps of the given size grown from root by elements above its
-    # maximum that can still reach k elements (orderly generation: a rep
-    # stays a rep when its largest element is dropped, so no rep lies above
-    # a non-rep)
-    have = root.bit_count()
-    if have == size:
-        yield root
-        return
+    # maximum that can still reach k elements, each with its stabiliser
+    # (orderly generation: a rep stays a rep when its largest element is
+    # dropped, so no rep lies above a non-rep)
+    have = root.bit_count() + 1
     full = (1 << p) - 1
-    for e in range(root.bit_length(), p - k + have + 1):
+    for e in range(root.bit_length(), p - k + have):
         mask = root | 1 << e
-        if _is_orbit_rep(mask, _mask_elements(mask), p, full):
+        stab = _maps_onto(_mask_elements(mask), mask, p, full)
+        if stab is None:
+            continue
+        if have == size:
+            yield mask, stab
+        else:
             yield from _outer_sets(mask, size, p, k)
 
 
 def _image(mask: int, lam: int, mu: int, p: int) -> int:
     # the mask of lam*X + mu
     return sum(1 << (lam * e + mu) % p for e in _mask_elements(mask))
-
-
-def _stabiliser(a_mask: int, p: int, full: int) -> list[tuple[int, int]]:
-    # the maps x -> lam*x + mu fixing A (which contains 0), identity included
-    elems = _mask_elements(a_mask)
-    maps = []
-    for lam in range(1, p):
-        image = 0
-        for e in elems:
-            image |= 1 << lam * e % p
-        image |= image << p
-        for e in elems:
-            t = lam * e % p
-            if image >> t & full == a_mask:
-                maps.append((lam, -t % p))
-    return maps
 
 
 def _orbit_pair(
@@ -290,29 +277,16 @@ def _orbit_pair(
     # as then the orbit is found again from rep(B) (A+.B is symmetric).
     # Otherwise the first set is A, and the second is the least image of B
     # under stab or of A under the maps sending B onto A.
+    onto = _maps_onto(_mask_elements(b_mask), a_mask, p, full)
+    if onto is None:
+        return None
     best = full + 1  # above every candidate: the first one wins
-    for lam, mu in stab:
-        y = _image(b_mask, lam, mu, p)
-        diff = y ^ best
-        if diff & -diff & y:
-            best = y
-    b_elems = _mask_elements(b_mask)
-    for lam in range(1, p):
-        image = 0
-        for e in b_elems:
-            image |= 1 << lam * e % p
-        image |= image << p
-        for e in b_elems:
-            t = lam * e % p
-            y = image >> t & full
-            diff = y ^ a_mask
-            if not diff:
-                y = _image(a_mask, lam, -t % p, p)
-                diff = y ^ best
-                if diff & -diff & y:
-                    best = y
-            elif diff & -diff & y:
-                return None
+    for x_mask, maps in ((b_mask, stab), (a_mask, onto)):
+        for lam, mu in maps:
+            y = _image(x_mask, lam, mu, p)
+            diff = y ^ best
+            if diff & -diff & y:
+                best = y
     return a_mask, best
 
 
@@ -353,13 +327,9 @@ def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
     walked = 0
     pairs = set()
     for root in roots:
-        for a_mask in _outer_sets(root, k, p, k):
+        for a_mask, stab in _outer_sets(root, k, p, k):
             walked += 1
-            bs = _extremal_bs(a_mask, p, k, target, full)
-            if not bs:
-                continue
-            stab = _stabiliser(a_mask, p, full)
-            for b_mask in bs:
+            for b_mask in _extremal_bs(a_mask, p, k, target, full):
                 pair = _orbit_pair(a_mask, b_mask, stab, p, full)
                 if pair is not None:
                     pairs.add(pair)
@@ -375,7 +345,9 @@ def _run_shards(worker, arg_list):
 
 def _outer_roots(p: int, k: int) -> list[int]:
     # the prefixes that shards grow into orbit reps, in lex order
-    return list(_outer_sets(0, max(0, k - _ROOT_LAG), p, k))
+    if k <= _ROOT_LAG:
+        return [0]
+    return [mask for mask, _ in _outer_sets(0, k - _ROOT_LAG, p, k)]
 
 
 def _scan_extremal_pairs(
@@ -453,7 +425,6 @@ def verify_main_theorem(
         p=prime.value,
         k=k,
         target_size=target,
-        pruned=True,
         pairs_scanned=scanned,
         extremal_pairs=records,
         counterexamples=[r for r in records if not r.sets_equal],
@@ -503,7 +474,6 @@ def verify_karolyi_inverse(
         p=prime.value,
         k=k,
         target_size=target,
-        pruned=True,
         pairs_scanned=scanned,
         extremal_pairs=records,
         counterexamples=exceptions,
@@ -513,12 +483,11 @@ def verify_karolyi_inverse(
 
 
 def _bounds_shard(args) -> tuple[int, list[tuple[int, int, str, int, int]]]:
-    p, lo, hi = args
+    p, first, step = args
     full = (1 << p) - 1
     violations = []
     scanned = 0
-    for i in range(lo, hi):
-        a_mask = i + 1
+    for a_mask in range(first, full + 1, step):
         a_elems = _mask_elements(a_mask)
         ka = len(a_elems)
         for b_mask in range(a_mask, full + 1):
@@ -562,9 +531,8 @@ def verify_bounds(
     """
     prime = as_prime(p)
     _check_ceiling(prime, ceiling)
-    total = (1 << prime.value) - 1
-    ranges = _triangle_ranges(total, _pool_size(workers, total))
-    arg_list = [(prime.value, lo, hi) for lo, hi in ranges]
+    shards = _pool_size(workers, (1 << prime.value) - 1)
+    arg_list = [(prime.value, 1 + s, shards) for s in range(shards)]
     results = _run_shards(_bounds_shard, arg_list)
     scanned = sum(r[0] for r in results)
     violations = []
@@ -585,7 +553,6 @@ def verify_bounds(
         p=prime.value,
         k=None,
         target_size=None,
-        pruned=False,
         pairs_scanned=scanned,
         violations=violations,
         hypothesis_flags={},

@@ -29,15 +29,16 @@ from sumsetlab import sweep
 from sumsetlab.sets import _mask_elements, canonical_pair
 from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
+    _bounds_shard,
     _converse_exceptions,
     _extremal_bs,
     _extremal_shard,
     _image,
+    _maps_onto,
     _orbit_pair,
     _outer_roots,
     _outer_sets,
     _pool_size,
-    _stabiliser,
 )
 
 import oracles
@@ -56,7 +57,7 @@ def _mask(elems):
 
 
 def _orbit_reps(p, k):
-    return [_mask_elements(m) for m in _outer_sets(0, k, p, k)]
+    return [_mask_elements(m) for m, _ in _outer_sets(0, k, p, k)]
 
 
 def test_enumerate_counts_and_order():
@@ -189,7 +190,7 @@ def test_strided_shards_partition_outer_sets():
                 for a in _outer_sets(root, k, p, k)
             ]
             assert sorted(parts) == sorted(whole)
-            assert len(parts) == len(set(parts))
+            assert len(parts) == len({mask for mask, _ in parts})
     # more shards than prefixes: the surplus shards get nothing to do
     assert len(_outer_roots(13, 5)) < 7
 
@@ -228,7 +229,8 @@ def _orbit_pair_elements(a, b, p):
     full = (1 << p) - 1
     lam, mu = oracles._least_map(_mask(a), p)
     rep = _image(_mask(a), lam, mu, p)
-    pair = _orbit_pair(rep, _image(_mask(b), lam, mu, p), _stabiliser(rep, p, full), p, full)
+    stab = _maps_onto(_mask_elements(rep), rep, p, full)
+    pair = _orbit_pair(rep, _image(_mask(b), lam, mu, p), stab, p, full)
     return pair and (_mask_elements(pair[0]), _mask_elements(pair[1]))
 
 
@@ -271,16 +273,43 @@ def test_canonical_masks_match_brute_force():
 
 
 def test_stabiliser_fixes_the_rep():
+    # the stabiliser the orderly generator yields with each rep
     for p in (5, 7, 11):
         for k in range(1, p + 1):
-            for rep in _orbit_reps(p, k):
+            for rep_mask, stab in _outer_sets(0, k, p, k):
+                rep = _mask_elements(rep_mask)
                 maps = {
                     (lam, mu)
                     for lam in range(1, p)
                     for mu in range(p)
                     if sorted((lam * x + mu) % p for x in rep) == list(rep)
                 }
-                assert sorted(_stabiliser(_mask(rep), p, (1 << p) - 1)) == sorted(maps)
+                assert sorted(stab) == sorted(maps)
+
+
+def test_maps_onto_matches_brute_force():
+    # every A containing 0 against every B of its size: None exactly when
+    # some image of B sorts below A, else every map sending B onto A
+    for p in (5, 7):
+        full = (1 << p) - 1
+        for k in range(1, p + 1):
+            subsets = list(itertools.combinations(range(p), k))
+            for a in subsets:
+                if a[0] != 0:
+                    continue
+                for b in subsets:
+                    images = {
+                        (lam, mu): sorted((lam * x + mu) % p for x in b)
+                        for lam in range(1, p)
+                        for mu in range(p)
+                    }
+                    got = _maps_onto(b, _mask(a), p, full)
+                    if any(image < list(a) for image in images.values()):
+                        assert got is None
+                    else:
+                        onto = {m for m, image in images.items() if image == list(a)}
+                        assert got is not None and len(got) == len(set(got))
+                        assert set(got) == onto
 
 
 def test_canonical_masks_invariant_under_affine_maps_and_swap():
@@ -369,13 +398,16 @@ REPORT_PINS = {
 }
 
 
+def _sha256(report):
+    return hashlib.sha256(report_to_json(report).encode()).hexdigest()
+
+
 def test_report_pins(monkeypatch):
     verify = {"main": verify_main_theorem, "karolyi": verify_karolyi_inverse}
     for (kind, p, k), pin in REPORT_PINS.items():
         for workers in (1, 2):
-            doc = report_to_json(verify[kind](p, k, workers=workers))
-            assert hashlib.sha256(doc.encode()).hexdigest() == pin, (kind, p, k, workers)
-    # the same bytes the benchmark pins for boundary-p17k9
+            assert _sha256(verify[kind](p, k, workers=workers)) == pin, (kind, p, k, workers)
+    # the same bytes the benchmark pins for boundary-p17k9 and tiny-bounds-p7
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -384,6 +416,10 @@ def test_report_pins(monkeypatch):
     (op,) = workloads.WORKLOADS["boundary-p17k9"].ops
     assert op.args == ("main", "-p", "17", "-k", "9")
     assert op.pin.sha256 == REPORT_PINS[("main", 17, 9)]
+    (op,) = workloads.TINY_WORKLOADS["tiny-bounds-p7"].ops
+    assert op.args == ("bounds", "-p", "7")
+    for workers in (1, 2):
+        assert _sha256(verify_bounds(7, workers=workers)) == op.pin.sha256, workers
 
 
 def test_extremal_scan_matches_brute_force():
@@ -459,6 +495,32 @@ def test_bounds_sweep_small_primes():
         for b in itertools.combinations(range(5), 3):
             assert len(brute_sumset(a, b, 5)) >= min(5, len(a) + len(b) - 1)
             assert len(brute_restricted(a, b, 5)) >= min(5, len(a) + len(b) - 3)
+
+
+def test_bounds_shards_find_every_violation():
+    # Z/nZ with n composite breaks both bounds (e.g. {0, 2} + {0, 2} in
+    # Z/4Z), so the shards' violation path is checked against a brute loop
+    # over unordered mask pairs, for several stride dealings
+    for n, count in ((4, 3), (6, 33), (8, 138)):
+        full = (1 << n) - 1
+        expected = set()
+        for a_mask in range(1, full + 1):
+            a = _mask_elements(a_mask)
+            for b_mask in range(a_mask, full + 1):
+                b = _mask_elements(b_mask)
+                for bound, size, need in (
+                    ("sumset", len(brute_sumset(a, b, n)), min(n, len(a) + len(b) - 1)),
+                    ("restricted", len(brute_restricted(a, b, n)), min(n, len(a) + len(b) - 3)),
+                ):
+                    if size < need:
+                        expected.add((a_mask, b_mask, bound, size, need))
+        assert len(expected) == count
+        for shards in (1, 2, 3, 7):
+            results = [_bounds_shard((n, 1 + s, shards)) for s in range(shards)]
+            assert sum(scanned for scanned, _ in results) == full * full
+            found = [v for _, violations in results for v in violations]
+            assert len(found) == len(set(found))
+            assert set(found) == expected
 
 
 def test_bounds_ceiling_guard():
