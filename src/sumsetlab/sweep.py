@@ -20,9 +20,10 @@ one kernel in it scans the maps x -> lam*x + mu of a set onto a mask:
   kept as one canonical pair.
 
 All three sweeps deal work to shards by stride: the theorem sweeps deal the
-rep prefixes of size k-3, the bounds sweep the nonempty masks A. The parent
-takes the union of the shards' results, so reports are byte-identical for
-any worker count.
+rep prefixes of size k-3 to one shard per process, the bounds sweep the
+nonempty masks A to 16 shards per process, which free processes take in
+turn. The parent takes the union of the shards' results, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ DEFAULT_THEOREM_CEILING = 19
 # reps of size k share long initial runs, so shallower prefixes are few and
 # carry very uneven work
 _ROOT_LAG = 3
+
+# the bounds sweep deals its masks to this many shards per process; a free
+# process takes the next shard, so a CPU slowed by other load holds up only
+# the shards it runs, not a fixed half of the sweep
+_BOUNDS_SHARDS_PER_PROCESS = 16
 
 
 def _unrank_combination(n: int, k: int, idx: int) -> list[int]:
@@ -336,10 +342,10 @@ def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
     return walked, pairs
 
 
-def _run_shards(worker, arg_list):
-    if len(arg_list) <= 1:
+def _run_shards(worker, arg_list, processes):
+    if processes <= 1:
         return [worker(args) for args in arg_list]
-    with ProcessPoolExecutor(max_workers=len(arg_list)) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(worker, arg_list))
 
 
@@ -357,7 +363,7 @@ def _scan_extremal_pairs(
     roots = _outer_roots(p, k)
     shards = _pool_size(workers, len(roots))
     arg_list = [(p, k, target, roots[s::shards]) for s in range(shards)]
-    results = _run_shards(_extremal_shard, arg_list)
+    results = _run_shards(_extremal_shard, arg_list, shards)
 
     # logical count: every walked rep A is paired with all C(p, k) sets B
     scanned = sum(r[0] for r in results) * comb(p, k)
@@ -531,9 +537,10 @@ def verify_bounds(
     """
     prime = as_prime(p)
     _check_ceiling(prime, ceiling)
-    shards = _pool_size(workers, (1 << prime.value) - 1)
+    processes = _pool_size(workers, (1 << prime.value) - 1)
+    shards = processes * _BOUNDS_SHARDS_PER_PROCESS
     arg_list = [(prime.value, 1 + s, shards) for s in range(shards)]
-    results = _run_shards(_bounds_shard, arg_list)
+    results = _run_shards(_bounds_shard, arg_list, processes)
     scanned = sum(r[0] for r in results)
     violations = []
     for _, shard_violations in results:
