@@ -10,6 +10,7 @@ formats the same data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,6 +273,9 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# built on the first main call, not at import, and then reused: each build
+# leaves a few hundred objects of cyclic garbage until a full collection
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumsetlab",

@@ -3,36 +3,42 @@
 Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
-sweep over all nonempty pairs. The first two share one bitmask engine, and
-one kernel in it scans the maps x -> lam*x + mu of a set onto a mask:
+sweep over all nonempty pairs. All three share one bitmask engine, and one
+kernel in it scans the maps x -> lam*x + mu of a set onto a mask:
 
 - the outer set A runs over affine-orbit representatives, grown depth-first
   from {0} by orderly generation (a representative stays one when its
   largest element is dropped, so non-representatives are pruned with their
   subtrees). The kernel run on A onto itself is the rep test, and the maps
-  it finds are A's stabiliser;
-- for each A a depth-first walk over B in increasing order carries the
-  later elements whose single extension still fits the target, and cuts a
-  branch once fewer are left than it needs;
-- each hit (A, B) is reduced against the representative A by the kernel
-  run on B onto A: it is dropped when an image of B is lex-below A, since
-  that orbit is found again from the representative of B, and otherwise
-  kept as one canonical pair.
+  it finds are A's stabiliser. The theorem sweeps take the reps of size k,
+  the bounds sweep those of every size;
+- for each A a depth-first walk over B in increasing order grows A+.B (and
+  A+B) one element of B at a time. The theorem sweeps carry the later
+  elements whose single extension still fits the target, and cut a branch
+  once fewer are left than it needs; the bounds sweep checks both bounds at
+  every node and cuts a branch once A+.B is the whole field;
+- each theorem hit (A, B) is reduced against the representative A by the
+  kernel run on B onto A: it is dropped when an image of B is lex-below A,
+  since that orbit is found again from the representative of B, and
+  otherwise kept as one canonical pair. A bounds violation (A, B) is
+  instead expanded in the parent to its image under every common affine
+  map, which keeps both bounds, as the bounds report lists every pair.
 
 All three sweeps deal work to shards by stride: the theorem sweeps deal the
-rep prefixes of size k-3 to one shard per process, the bounds sweep the
-nonempty masks A to 16 shards per process, which free processes take in
-turn. The parent takes the union of the shards' results, so reports are
+rep prefixes of size k-3 to one shard per process, the bounds sweep its
+reps to 16 shards per process, which free processes take in turn. The
+parent takes the union of the shards' results, so reports are
 byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from math import comb
+from math import comb, gcd
 from typing import Iterator
 
 from .audit import AuditTrace, audit_sigma_chain
@@ -71,7 +77,7 @@ DEFAULT_THEOREM_CEILING = 19
 # carry very uneven work
 _ROOT_LAG = 3
 
-# the bounds sweep deals its masks to this many shards per process; a free
+# the bounds sweep deals its reps to this many shards per process; a free
 # process takes the next shard, so a CPU slowed by other load holds up only
 # the shards it runs, not a fixed half of the sweep
 _BOUNDS_SHARDS_PER_PROCESS = 16
@@ -181,7 +187,7 @@ class SweepReport:
 
     @property
     def pruned(self) -> bool:
-        # the theorem sweeps walk orbit reps only; bounds scans every pair
+        # the report lists one pair per orbit; bounds lists every violating pair
         return self.kind != "bounds"
 
     @property
@@ -225,16 +231,24 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
+@functools.cache
+def _units(n: int) -> tuple[int, ...]:
+    # the multipliers lam for which x -> lam*x + mu permutes Z/nZ: every
+    # nonzero residue when n is prime
+    return tuple(lam for lam in range(1, n) if gcd(lam, n) == 1)
+
+
 def _maps_onto(
     elems: tuple[int, ...], ref: int, p: int, full: int
 ) -> list[tuple[int, int]] | None:
-    # the maps x -> lam*x + mu sending the set elems onto the mask ref, or
-    # None as soon as some image is lex-below ref; equal-size X <lex Y iff
-    # the lowest bit of X^Y is in X, and only images with 0 compete (so a set
-    # without 0 is never a rep). With ref the set's own mask this is the
-    # orbit-rep test, and the maps it returns are the stabiliser.
+    # the maps x -> lam*x + mu (lam a unit) sending the set elems onto the
+    # mask ref, or None as soon as some image is lex-below ref; equal-size
+    # X <lex Y iff the lowest bit of X^Y is in X, and only images with 0
+    # compete (so a set without 0 is never a rep). With ref the set's own
+    # mask this is the orbit-rep test, and the maps it returns are the
+    # stabiliser.
     maps = []
-    for lam in range(1, p):
+    for lam in _units(p):
         image = 0
         for e in elems:
             image |= 1 << lam * e % p
@@ -488,41 +502,62 @@ def verify_karolyi_inverse(
     )
 
 
-def _bounds_shard(args) -> tuple[int, list[tuple[int, int, str, int, int]]]:
-    p, first, step = args
-    full = (1 << p) - 1
-    violations = []
-    scanned = 0
-    for a_mask in range(first, full + 1, step):
-        a_elems = _mask_elements(a_mask)
-        ka = len(a_elems)
-        for b_mask in range(a_mask, full + 1):
-            scanned += 1 if b_mask == a_mask else 2
-            kb = b_mask.bit_count()
-            need = ka + kb - 1
-            if need > p:
-                need = p
-            acc = 0
-            for e in a_elems:
-                acc |= _rotate(b_mask, e, p, full)
-                if acc.bit_count() >= need:
-                    break
-            size = acc.bit_count()
+def _nonempty_reps(p: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    # the affine-orbit reps of every size 1..p, each with its stabiliser
+    return [rep for size in range(1, p + 1) for rep in _outer_sets(0, size, p, size)]
+
+
+def _rep_violations(a_mask: int, p: int, full: int) -> list[tuple[int, int, str, int, int]]:
+    # every B breaking a bound against A, walking B in increasing order; each
+    # step ORs A+b into A+B and (A minus b)+b into A+.B, and a branch is cut
+    # once A+.B is the whole field, as both sums then stay whole above it
+    ka = a_mask.bit_count()
+    grow = [_rotate(a_mask, b, p, full) for b in range(p)]
+    grow_r = [_rotate(a_mask & ~(1 << b), b, p, full) for b in range(p)]
+    found = []
+
+    def extend(acc: int, acc_r: int, b_mask: int, kb: int, start: int) -> None:
+        # kb is |B| once b joins
+        need = min(p, ka + kb - 1)
+        need_r = min(p, ka + kb - 3)
+        for b in range(start, p):
+            s = acc | grow[b]
+            r = acc_r | grow_r[b]
+            m = b_mask | 1 << b
+            size = s.bit_count()
             if size < need:
-                violations.append((a_mask, b_mask, "sumset", size, need))
-            need = ka + kb - 3
-            if need > p:
-                need = p
-            if need > 0:
-                acc = 0
-                for e in a_elems:
-                    acc |= _rotate(b_mask & ~(1 << e), e, p, full)
-                    if acc.bit_count() >= need:
-                        break
-                size = acc.bit_count()
-                if size < need:
-                    violations.append((a_mask, b_mask, "restricted", size, need))
-    return scanned, violations
+                found.append((a_mask, m, "sumset", size, need))
+            size = r.bit_count()
+            if size < need_r:
+                found.append((a_mask, m, "restricted", size, need_r))
+            if r != full:
+                extend(s, r, m, kb + 1, b + 1)
+
+    extend(0, 0, 0, 1, 0)
+    return found
+
+
+def _bounds_shard(args) -> list[tuple[int, int, str, int, int]]:
+    # the violations (rep A, B, bound, size, required) of the reps dealt here
+    p, reps = args
+    full = (1 << p) - 1
+    return [v for a_mask in reps for v in _rep_violations(a_mask, p, full)]
+
+
+def _violating_pairs(
+    found: list[tuple[int, int, str, int, int]], p: int
+) -> set[tuple[int, int, str, int, int]]:
+    # every image of each violation under the maps x -> lam*x + mu, as the
+    # unordered pair (min mask, max mask); both bounds are invariant under a
+    # common affine map, so this is every violating pair
+    pairs = set()
+    for a_mask, b_mask, bound, size, need in found:
+        for lam in _units(p):
+            for mu in range(p):
+                x = _image(a_mask, lam, mu, p)
+                y = _image(b_mask, lam, mu, p)
+                pairs.add((min(x, y), max(x, y), bound, size, need))
+    return pairs
 
 
 def verify_bounds(
@@ -533,31 +568,36 @@ def verify_bounds(
     For every (A, B): |A+B| >= min(p, |A|+|B|-1) and the restricted sumset
     size is >= min(p, |A|+|B|-3); the diagonal pairs of the second check
     cover the restricted bound min(p, 2|A|-3) for A = B. Zero violations
-    expected at any prime; guarded by an exhaustive ceiling.
+    expected at any prime; guarded by an exhaustive ceiling. Only
+    affine-orbit representatives A are walked, against every B;
+    pairs_scanned counts every member of each rep's orbit against every B,
+    and each violation found is listed for every pair in its orbit.
     """
     prime = as_prime(p)
     _check_ceiling(prime, ceiling)
-    processes = _pool_size(workers, (1 << prime.value) - 1)
-    shards = processes * _BOUNDS_SHARDS_PER_PROCESS
-    arg_list = [(prime.value, 1 + s, shards) for s in range(shards)]
-    results = _run_shards(_bounds_shard, arg_list, processes)
-    scanned = sum(r[0] for r in results)
-    violations = []
-    for _, shard_violations in results:
-        for a_mask, b_mask, bound, size, need in shard_violations:
-            violations.append(
-                {
-                    "a": FpSet.from_mask(prime, a_mask).literal(),
-                    "b": FpSet.from_mask(prime, b_mask).literal(),
-                    "bound": bound,
-                    "size": size,
-                    "required": need,
-                }
-            )
+    n = prime.value
+    reps = _nonempty_reps(n)
+    # logical count: |orbit(A)| = n * |units| / |stab(A)| sets against each B
+    scanned = ((1 << n) - 1) * sum(n * len(_units(n)) // len(stab) for _, stab in reps)
+    masks = [mask for mask, _ in reps]
+    processes = _pool_size(workers, len(masks))
+    shards = min(len(masks), processes * _BOUNDS_SHARDS_PER_PROCESS)
+    arg_list = [(n, masks[s::shards]) for s in range(shards)]
+    found = [v for shard in _run_shards(_bounds_shard, arg_list, processes) for v in shard]
+    violations = [
+        {
+            "a": FpSet.from_mask(prime, a_mask).literal(),
+            "b": FpSet.from_mask(prime, b_mask).literal(),
+            "bound": bound,
+            "size": size,
+            "required": need,
+        }
+        for a_mask, b_mask, bound, size, need in _violating_pairs(found, n)
+    ]
     violations.sort(key=lambda v: (v["a"], v["b"], v["bound"]))
     return SweepReport(
         kind="bounds",
-        p=prime.value,
+        p=n,
         k=None,
         target_size=None,
         pairs_scanned=scanned,

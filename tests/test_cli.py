@@ -265,3 +265,26 @@ def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_parser_built_on_first_main_call_and_reused():
+    # importing the CLI builds no parser; main builds one and every later
+    # call reuses it, so a call leaves no parser garbage behind
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sumsetlab.cli as cli\n"
+        "built = [cli.build_parser.cache_info().currsize]\n"
+        "for _ in range(3):\n"
+        "    cli.main(['enumerate', '-p', '5', '-k', '2', '--limit', '0'])\n"
+        "    built.append(cli.build_parser.cache_info().currsize)\n"
+        "print(built, cli.build_parser.cache_info().misses)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1, 1, 1] 1\n"

@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 import sys
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -35,10 +35,13 @@ from sumsetlab.sweep import (
     _extremal_shard,
     _image,
     _maps_onto,
+    _nonempty_reps,
     _orbit_pair,
     _outer_roots,
     _outer_sets,
     _pool_size,
+    _units,
+    _violating_pairs,
 )
 
 import oracles
@@ -390,11 +393,16 @@ def test_reports_deterministic_across_workers():
 
 
 # report sha256 computed before the orderly generator, the candidate-filtered
-# walk and the dedup against the outer rep replaced the earlier engine
+# walk and the dedup against the outer rep replaced the earlier engine, and
+# (bounds) before the bounds sweep walked orbit reps instead of every pair
 REPORT_PINS = {
     ("main", 13, 7): "26ca234cbec43ccd902f7df5e499648b1f88f1a45514f32f3d7cf493496b4f59",
     ("main", 17, 9): "69eaf0098c0957374b7723ba598fd75f3080398c6297cc2ebca14b98762bb719",
     ("karolyi", 11, 7): "0e8029ad8f45aace6fb6b63f58028aca98e1401b3ff0678cb27792b3b8449562",
+}
+BOUNDS_PINS = {
+    5: "b447e58cac7269c93c97c4fccf69c9d5375eca47a6274194dfaae6e7331123b5",
+    13: "635e5e0e1bef4747938d66bbb4b6aee68c7156d91f89a8838864061d862864fe",
 }
 
 
@@ -407,7 +415,11 @@ def test_report_pins(monkeypatch):
     for (kind, p, k), pin in REPORT_PINS.items():
         for workers in (1, 2):
             assert _sha256(verify[kind](p, k, workers=workers)) == pin, (kind, p, k, workers)
-    # the same bytes the benchmark pins for boundary-p17k9 and tiny-bounds-p7
+    for p, pin in BOUNDS_PINS.items():
+        for workers in (1, 2):
+            assert _sha256(verify_bounds(p, workers=workers)) == pin, (p, workers)
+    # the same bytes the benchmark pins for boundary-p17k9, tiny-bounds-p7
+    # and bounds-p11
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -416,10 +428,12 @@ def test_report_pins(monkeypatch):
     (op,) = workloads.WORKLOADS["boundary-p17k9"].ops
     assert op.args == ("main", "-p", "17", "-k", "9")
     assert op.pin.sha256 == REPORT_PINS[("main", 17, 9)]
-    (op,) = workloads.TINY_WORKLOADS["tiny-bounds-p7"].ops
-    assert op.args == ("bounds", "-p", "7")
-    for workers in (1, 2):
-        assert _sha256(verify_bounds(7, workers=workers)) == op.pin.sha256, workers
+    bounds = {7: workloads.TINY_WORKLOADS["tiny-bounds-p7"], 11: workloads.WORKLOADS["bounds-p11"]}
+    for p, workload in bounds.items():
+        (op,) = workload.ops
+        assert op.args == ("bounds", "-p", str(p))
+        for workers in (1, 2):
+            assert _sha256(verify_bounds(p, workers=workers)) == op.pin.sha256, (p, workers)
 
 
 def test_extremal_scan_matches_brute_force():
@@ -499,8 +513,10 @@ def test_bounds_sweep_small_primes():
 
 def test_bounds_shards_find_every_violation():
     # Z/nZ with n composite breaks both bounds (e.g. {0, 2} + {0, 2} in
-    # Z/4Z), so the shards' violation path is checked against a brute loop
-    # over unordered mask pairs, for several stride dealings
+    # Z/4Z), so the reduced path is checked against a brute loop over
+    # unordered mask pairs, for several stride dealings: the shards walk B
+    # against the orbit reps under the maps with unit multipliers, and the
+    # violations they find expand to every violating pair
     for n, count in ((4, 3), (6, 33), (8, 138)):
         full = (1 << n) - 1
         expected = set()
@@ -515,12 +531,70 @@ def test_bounds_shards_find_every_violation():
                     if size < need:
                         expected.add((a_mask, b_mask, bound, size, need))
         assert len(expected) == count
+        reps = [mask for mask, _ in _nonempty_reps(n)]
         for shards in (1, 2, 3, 7):
-            results = [_bounds_shard((n, 1 + s, shards)) for s in range(shards)]
-            assert sum(scanned for scanned, _ in results) == full * full
-            found = [v for _, violations in results for v in violations]
+            results = [_bounds_shard((n, reps[s::shards])) for s in range(shards)]
+            found = [v for violations in results for v in violations]
             assert len(found) == len(set(found))
-            assert set(found) == expected
+            assert {v[0] for v in found} <= set(reps)
+            assert _violating_pairs(found, n) == expected
+
+
+def test_bounds_violations_are_closed_under_unit_maps():
+    # over Z/10Z the unit multipliers 3 and 7 move some violating pairs off
+    # every translate of the pair found at the rep (A = B = {0, 1, 5, 6} is
+    # found; its image under x -> 3x, A = B = {0, 3, 5, 8}, is no translate
+    # of it), so the expansion must use them: every listed pair breaks its
+    # bound, and the list of unordered pairs is closed under x -> lam*x + mu
+    n = 10
+    units = [lam for lam in range(1, n) if gcd(lam, n) == 1]
+    reps = [mask for mask, _ in _nonempty_reps(n)]
+    pairs = _violating_pairs(_bounds_shard((n, reps)), n)
+    assert len(pairs) == 621
+    for a_mask, b_mask, bound, size, need in pairs:
+        a, b = _mask_elements(a_mask), _mask_elements(b_mask)
+        brute = brute_sumset if bound == "sumset" else brute_restricted
+        slack = 1 if bound == "sumset" else 3
+        assert a_mask <= b_mask
+        assert size == len(brute(a, b, n)) < need == min(n, len(a) + len(b) - slack)
+        for lam in units:
+            for mu in range(n):
+                x = _mask([(lam * e + mu) % n for e in a])
+                y = _mask([(lam * e + mu) % n for e in b])
+                assert (min(x, y), max(x, y), bound, size, need) in pairs
+
+
+def test_orbit_sizes_of_every_rep_sum_to_the_nonempty_sets():
+    # the count behind the bounds sweep's logical pairs_scanned: the orbits
+    # of the reps of every size, |orbit(A)| = n * |units| / |stab(A)|,
+    # partition the 2^n - 1 nonempty sets, over Z/nZ with n composite too
+    assert [_units(n) for n in (4, 6, 8)] == [(1, 3), (1, 5), (1, 3, 5, 7)]
+    for n in (5, 7, 11, 13, 4, 6, 8):
+        units = [lam for lam in range(1, n) if gcd(lam, n) == 1]
+        assert list(_units(n)) == units
+        group = n * len(units)
+        reps = _nonempty_reps(n)
+        assert all(group % len(stab) == 0 for _, stab in reps)
+        assert sum(group // len(stab) for _, stab in reps) == 2 ** n - 1
+    # at composite n each rep is the lex-least image of its orbit under the
+    # maps with unit multipliers (test_orbit_reps_are_lex_least_images
+    # covers the primes size by size)
+    for n in (4, 6, 8):
+        units = [lam for lam in range(1, n) if gcd(lam, n) == 1]
+        least = {
+            min(
+                tuple(sorted((lam * e + mu) % n for e in x))
+                for lam in units
+                for mu in range(n)
+            )
+            for k in range(1, n + 1)
+            for x in itertools.combinations(range(n), k)
+        }
+        reps = [_mask_elements(mask) for mask, _ in _nonempty_reps(n)]
+        assert reps == sorted(least, key=lambda x: (len(x), x))
+    assert len(_nonempty_reps(11)) == 29 and len(_nonempty_reps(13)) == 73
+    for p in (5, 7, 11, 13):
+        assert len(_nonempty_reps(p)) == sum(burnside_orbit_count(p, k) for k in range(1, p + 1))
 
 
 def test_bounds_ceiling_guard():
