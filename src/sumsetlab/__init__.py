@@ -14,7 +14,6 @@ from .errors import (
     NotSplitting,
     NotVanishing,
     SumsetLabError,
-    ZeroDilation,
     ZeroInverse,
     ZeroPolynomial,
 )
@@ -24,7 +23,6 @@ from .sets import (
     CanonicalPair,
     FpSet,
     PairClassification,
-    affine_image,
     canonical_pair,
     classify_pair,
     is_arithmetic_progression,

@@ -25,10 +25,6 @@ class EmptySet(SumsetLabError):
     """An operation requiring a nonempty set received an empty one."""
 
 
-class ZeroDilation(SumsetLabError):
-    """An affine map with dilation factor 0 is not invertible."""
-
-
 class IndexOutOfRange(SumsetLabError):
     """Coefficient index outside the valid triangular range."""
 

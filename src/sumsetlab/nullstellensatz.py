@@ -4,7 +4,10 @@ If f(a, b) = 0 for every a in Sx and b in Sy, then f lies in the ideal
 generated by g_A(x) and g_B(y), the vanishing polynomials of the two sets,
 and f = h_A * g_A(x) + h_B * g_B(y) with deg(h_A) <= deg(f) - |Sx| and
 deg(h_B) <= deg(f) - |Sy|. ``cn_decompose`` produces the canonical such
-witness by iterated monomial reduction; ``verify_witness`` re-expands it.
+witness by iterated monomial reduction. ``verify_witness`` re-expands it
+on its own, without the reduction: each cell of h_A is shifted along x by
+the coefficients of g_A, each cell of h_B along y by those of g_B, and the
+sums land in one table holding recomposed - f.
 """
 
 from __future__ import annotations
@@ -143,16 +146,32 @@ def cn_decompose(f: BiPoly, sx: FpSet, sy: FpSet) -> CnWitness:
 
 def verify_witness(f: BiPoly, w: CnWitness) -> WitnessVerdict:
     """Re-expand h_A g_A(x) + h_B g_B(y), compare to f, and check degree bounds."""
-    recomposed = w.h_a * BiPoly.from_unipoly_x(w.g_a) + w.h_b * BiPoly.from_unipoly_y(
-        w.g_b
-    )
-    if recomposed != f:
-        diff = recomposed - f
-        c, i, j = next(diff.terms())
-        return WitnessVerdict(
-            False,
-            f"monomial x^{i} y^{j}: recomposed - f = {c} != 0",
-        )
+    prime = f.modulus
+    if any(q.modulus != prime for q in (w.h_a, w.h_b, w.g_a, w.g_b)):
+        raise ModulusMismatch("polynomial and witness must share one modulus")
+    p = prime.value
+    ga, gb = w.g_a.coeffs, w.g_b.coeffs
+    rows = 1 + max(f.x_degree, w.h_a.x_degree + w.g_a.degree, w.h_b.x_degree)
+    cols = 1 + max(f.y_degree, w.h_a.y_degree, w.h_b.y_degree + w.g_b.degree)
+    diff = [[0] * cols for _ in range(rows)]  # recomposed - f, unreduced
+    for i, row in enumerate(f.table):
+        for j, c in enumerate(row):
+            diff[i][j] -= c
+    for i, row in enumerate(w.h_a.table):  # h_A x^i y^j times g_A(x): shift along x
+        for j, c in enumerate(row):
+            if c:
+                for t, g in enumerate(ga):
+                    diff[i + t][j] += c * g
+    for i, row in enumerate(w.h_b.table):  # h_B x^i y^j times g_B(y): shift along y
+        out = diff[i]
+        for j, c in enumerate(row):
+            if c:
+                for t, g in enumerate(gb):
+                    out[j + t] += c * g
+    bad = [(i + j, i, c % p) for i, row in enumerate(diff) for j, c in enumerate(row) if c % p]
+    if bad:
+        d, i, c = min(bad)
+        return WitnessVerdict(False, f"monomial x^{i} y^{d - i}: recomposed - f = {c} != 0")
     bound_a = f.total_degree - w.g_a.degree
     bound_b = f.total_degree - w.g_b.degree
     if not w.h_a.is_zero and w.h_a.total_degree > bound_a:

@@ -1,8 +1,10 @@
-"""Dense polynomial algebra over Z/pZ, univariate and bivariate.
+"""Dense polynomials over Z/pZ, univariate and bivariate.
 
 Univariate polynomials are ascending coefficient tuples; bivariate ones are
-rectangular tables indexed by (x-exponent, y-exponent). Degrees stay small
-(a few dozen), so everything is plain dense arithmetic on ints.
+rectangular tables indexed by (x-exponent, y-exponent). They are coefficient
+containers with evaluation and text I/O and no ring arithmetic: each builder
+below fills its table directly. Degrees stay small (a few dozen), so the
+tables hold plain ints.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import EmptySet, IndexOutOfRange, ModulusMismatch, ZeroPolynomial
+from .errors import EmptySet, IndexOutOfRange, ZeroPolynomial
 from .field import Prime, as_prime, binomial_mod
 from .sets import FpSet
 
@@ -77,39 +79,6 @@ class UniPoly:
             acc = (acc * x + c) % p
         return acc
 
-    def _check(self, other: "UniPoly"):
-        if self.modulus != other.modulus:
-            raise ModulusMismatch("polynomials over different moduli")
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.of(
-            self.modulus,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.of(
-            self.modulus,
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-        )
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.of(self.modulus, [])
-        p = self.modulus.value
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + ci * cj) % p
-        return UniPoly.of(self.modulus, out)
-
     def __repr__(self) -> str:
         return f"UniPoly(p={self.modulus.value}, coeffs={self.coeffs})"
 
@@ -154,14 +123,6 @@ class BiPoly:
     def zero(cls, p: Prime | int) -> "BiPoly":
         return cls.of(p, [])
 
-    @classmethod
-    def from_unipoly_x(cls, q: UniPoly) -> "BiPoly":
-        return cls.of(q.modulus, [[c] for c in q.coeffs])
-
-    @classmethod
-    def from_unipoly_y(cls, q: UniPoly) -> "BiPoly":
-        return cls.of(q.modulus, [list(q.coeffs)])
-
     @property
     def is_zero(self) -> bool:
         return not self.table
@@ -198,54 +159,6 @@ class BiPoly:
         ]
         for d, i, c in sorted(found):
             yield c, i, d - i
-
-    def _check(self, other: "BiPoly"):
-        if self.modulus != other.modulus:
-            raise ModulusMismatch("polynomials over different moduli")
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        self._check(other)
-        rows = max(len(self.table), len(other.table))
-        cols = max(
-            len(self.table[0]) if self.table else 0,
-            len(other.table[0]) if other.table else 0,
-        )
-        return BiPoly.of(
-            self.modulus,
-            [
-                [self.get(i, j) + other.get(i, j) for j in range(cols)]
-                for i in range(rows)
-            ],
-        )
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return BiPoly.zero(self.modulus)
-        p = self.modulus.value
-        rows = len(self.table) + len(other.table) - 1
-        cols = len(self.table[0]) + len(other.table[0]) - 1
-        out = [[0] * cols for _ in range(rows)]
-        for i, row in enumerate(self.table):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                for u, orow in enumerate(other.table):
-                    for v, d in enumerate(orow):
-                        if d:
-                            out[i + u][j + v] = (out[i + u][j + v] + c * d) % p
-        return BiPoly.of(self.modulus, out)
-
-    def scale(self, c: int) -> "BiPoly":
-        c %= self.modulus.value
-        if c == 0:
-            return BiPoly.zero(self.modulus)
-        return BiPoly.of(
-            self.modulus, [[c * v for v in row] for row in self.table]
-        )
 
     def evaluate(self, x: int, y: int) -> int:
         p = self.modulus.value

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import EmptySet, ModulusMismatch, ZeroDilation
+from .errors import EmptySet, ModulusMismatch
 from .field import Prime, as_prime
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "sumset",
     "restricted_sumset",
     "is_arithmetic_progression",
-    "affine_image",
     "canonical_pair",
     "classify_pair",
     "CAUCHY_DAVENPORT_TIGHT",
@@ -205,13 +204,6 @@ def is_arithmetic_progression(s: FpSet) -> ApWitness | None:
         return None
     start, diff = min(candidates)
     return ApWitness(start, diff, m, prime)
-
-
-def affine_image(s: FpSet, lam: int, mu: int) -> FpSet:
-    """The image {lam*x + mu : x in s}; lam must be nonzero mod p."""
-    if lam % s.modulus.value == 0:
-        raise ZeroDilation("affine dilation factor must be nonzero")
-    return FpSet.of(s.modulus, (lam * e + mu for e in s.elements))
 
 
 @dataclass(frozen=True)

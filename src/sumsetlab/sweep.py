@@ -427,10 +427,11 @@ def verify_main_theorem(
     p > 2k-1 the counterexample list must come back empty. At p = 2k-1
     attaining pairs with A != B do exist (e.g. p=11, k=6), so the report
     records them without asserting emptiness; both modulus flags are kept
-    so the boundary is visible. Only affine-orbit representatives A are
-    walked, and found pairs are stored canonically (one per orbit under
-    simultaneous affine maps and swap); pairs_scanned counts every walked A
-    against all C(p, k) sets B.
+    so the boundary is visible. A non-default target is swept and recorded
+    but never judged, as the theorem says nothing there. Only affine-orbit
+    representatives A are walked, and found pairs are stored canonically
+    (one per orbit under simultaneous affine maps and swap); pairs_scanned
+    counts every walked A against all C(p, k) sets B.
     """
     prime = as_prime(p)
     target = _theorem_target(prime, k, target, 2 * k - 2, ceiling)
@@ -449,7 +450,7 @@ def verify_main_theorem(
         extremal_pairs=records,
         counterexamples=[r for r in records if not r.sets_equal],
         hypothesis_flags=flags,
-        expectation_checked=flags["k_ge_5"] and flags["p_gt_2k_minus_1"],
+        expectation_checked=flags["k_ge_5"] and flags["p_gt_2k_minus_1"] and target == 2 * k - 2,
     )
 
 
@@ -476,7 +477,8 @@ def verify_karolyi_inverse(
     Forward: every attaining pair must be a diagonal progression (A = B and
     A an arithmetic progression) when k >= 5 and p > 2k-3. Converse: every
     size-k progression A must attain |A+.A| = min(p, 2k-3). Exceptions in
-    either direction land in the counterexample list.
+    either direction land in the counterexample list; they are judged only
+    at the default target 2k-3.
     """
     prime = as_prime(p)
     target = _theorem_target(prime, k, target, 2 * k - 3, ceiling)
@@ -498,7 +500,7 @@ def verify_karolyi_inverse(
         extremal_pairs=records,
         counterexamples=exceptions,
         hypothesis_flags=flags,
-        expectation_checked=flags["k_ge_5"] and flags["p_gt_2k_minus_3"],
+        expectation_checked=flags["k_ge_5"] and flags["p_gt_2k_minus_3"] and target == 2 * k - 3,
     )
 
 

@@ -74,6 +74,24 @@ def brute_locus_coefficients(c_elems, p):
     return {k: v % p for k, v in terms.items() if v % p}
 
 
+def brute_bipoly_product(f, g, p):
+    """Product of two {(i, j): c} polynomials by naive dict expansion, mod p."""
+    out = {}
+    for (i, j), u in f.items():
+        for (di, dj), v in g.items():
+            key = (i + di, j + dj)
+            out[key] = (out.get(key, 0) + u * v) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def brute_bipoly_sum(f, g, p):
+    """Sum of two {(i, j): c} polynomials, mod p."""
+    out = {}
+    for key, v in [*f.items(), *g.items()]:
+        out[key] = (out.get(key, 0) + v) % p
+    return {k: v for k, v in out.items() if v}
+
+
 def all_subsets(p, min_size=1):
     universe = range(p)
     for size in range(min_size, p + 1):

@@ -236,6 +236,32 @@ def test_verify_boundary_prime_records_but_does_not_fail(tmp_path, capsys):
     assert doc["hypothesis_flags"]["p_gt_2k_minus_1"] is False
 
 
+@pytest.mark.parametrize("theorem, target, found", [
+    ("main", "9", "16 counterexamples"),
+    ("karolyi", "8", "3 exceptions"),
+])
+def test_verify_non_default_target_records_only(tmp_path, capsys, theorem, target, found):
+    # no theorem speaks about these sizes, so the pairs are listed, not judged
+    out = tmp_path / "report.json"
+    argv = ["verify", theorem, "-p", "13", "-k", "5", "--target", target, "--out", str(out)]
+    assert main(argv) == 0
+    assert f"{found} (hypotheses unmet; recorded only)" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["expectation_checked"] is False
+    assert doc["counterexample_count"] > 0
+
+
+@pytest.mark.parametrize("theorem, target", [("main", "8"), ("karolyi", "7")])
+def test_verify_explicit_default_target_is_checked(tmp_path, capsys, theorem, target):
+    explicit, implicit = tmp_path / "explicit.json", tmp_path / "implicit.json"
+    base = ["verify", theorem, "-p", "13", "-k", "5"]
+    assert main([*base, "--target", target, "--out", str(explicit)]) == 0
+    assert "recorded only" not in capsys.readouterr().out
+    assert main([*base, "--out", str(implicit)]) == 0
+    assert explicit.read_bytes() == implicit.read_bytes()
+    assert json.loads(explicit.read_text())["expectation_checked"] is True
+
+
 def test_enumerate_stream(capsys):
     assert main(["enumerate", "-p", "7", "-k", "2", "--limit", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
