@@ -235,7 +235,12 @@ def cmd_verify(args) -> int:
             **guard,
         )
         name = "counterexamples" if args.theorem == "main" else "exceptions"
-        qualifier = "" if report.expectation_checked else " (hypotheses unmet; recorded only)"
+        if report.expectation_checked:
+            qualifier = ""
+        elif all(report.hypothesis_flags.values()):
+            qualifier = " (non-default target; recorded only)"
+        else:
+            qualifier = " (hypotheses unmet; recorded only)"
         summary = (
             f"{args.theorem} p={report.p} k={report.k}: "
             f"{len(report.counterexamples)} {name}{qualifier}; "

@@ -4,18 +4,20 @@ If f(a, b) = 0 for every a in Sx and b in Sy, then f lies in the ideal
 generated by g_A(x) and g_B(y), the vanishing polynomials of the two sets,
 and f = h_A * g_A(x) + h_B * g_B(y) with deg(h_A) <= deg(f) - |Sx| and
 deg(h_B) <= deg(f) - |Sy|. ``cn_decompose`` produces the canonical such
-witness by iterated monomial reduction. ``verify_witness`` re-expands it
-on its own, without the reduction: each cell of h_A is shifted along x by
-the coefficients of g_A, each cell of h_B along y by those of g_B, and the
-sums land in one table holding recomposed - f.
+witness by iterated reduction on packed rows: each row of f is one int, so
+one pivot row is divided out with one big-int operation per coefficient of
+g_A. ``verify_witness`` re-expands it on its own, without the reduction:
+h_A g_A(x) and h_B g_B(y) are whole-table products by the Kronecker kernel
+of ``poly``, and their sum is compared with f cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import EmptySet, ModulusMismatch, NotVanishing
-from .poly import BiPoly, UniPoly, vanishing_polynomial
+from .poly import BiPoly, UniPoly, _mul_tables, _pack, _slot_width, _unpack, vanishing_polynomial
 from .sets import FpSet
 
 __all__ = [
@@ -98,33 +100,38 @@ def cn_decompose(f: BiPoly, sx: FpSet, sy: FpSet) -> CnWitness:
     g_b = vanishing_polynomial(sy)
     m, n = len(sx), len(sy)
 
-    work = [list(row) for row in f.table]
-    dx = len(work) - 1
-    dy = len(work[0]) - 1 if work else -1
+    # one int per row of f, one slot per column; a slot starts below p and
+    # takes at most max(m, n) additions below p**2 before it is read back
+    width = _slot_width(p + max(m, n) * p * p)
+    cols = len(f.table[0]) if f.table else 0
+    packed = [_pack(row, width) for row in f.table]
 
-    qa = [[0] * (dy + 1) for _ in range(max(dx - m + 1, 0))]
+    qa = []  # top row first, reversed below
     ga = g_a.coeffs
-    for i in range(dx, m - 1, -1):
-        for j in range(dy + 1):
-            c = work[i][j]
-            if not c:
-                continue
-            qa[i - m][j] = (qa[i - m][j] + c) % p
-            for t in range(m + 1):
-                work[i - m + t][j] = (work[i - m + t][j] - c * ga[t]) % p
+    for i in range(len(packed) - 1, m - 1, -1):
+        # row i, reduced, is the quotient row of x^(i-m); subtracting it times
+        # x^(i-m) g_A(x) clears row i and adds -g_A[t] times it to row i-m+t
+        row = [c % p for c in _unpack(packed[i], cols, width)]
+        qa.append(row)
+        q = _pack(row, width)
+        for t in range(m):
+            packed[i - m + t] += (p - ga[t]) * q
+    qa.reverse()
 
-    qb = [[0] * max(dy - n + 1, 0) for _ in range(min(dx + 1, m))]
+    # the rows below |Sx| are left; repack them by column and reduce in y
+    low = [[c % p for c in _unpack(r, cols, width)] for r in packed[:m]]
+    packed = [_pack(col, width) for col in zip(*low)]
+    qb_cols = []
     gb = g_b.coeffs
-    for j in range(dy, n - 1, -1):
-        for i in range(min(dx + 1, m)):
-            c = work[i][j]
-            if not c:
-                continue
-            qb[i][j - n] = (qb[i][j - n] + c) % p
-            for t in range(n + 1):
-                work[i][j - n + t] = (work[i][j - n + t] - c * gb[t]) % p
+    for j in range(len(packed) - 1, n - 1, -1):
+        col = [c % p for c in _unpack(packed[j], len(low), width)]
+        qb_cols.append(col)
+        q = _pack(col, width)
+        for t in range(n):
+            packed[j - n + t] += (p - gb[t]) * q
+    qb = zip(*reversed(qb_cols))  # back to rows
 
-    if any(c for row in work for c in row):
+    if any([c % p for r in packed[:n] for c in _unpack(r, len(low), width)]):
         point = first_nonvanishing_point(f, sx, sy)
         if point is None:
             raise AssertionError("nonzero remainder but f vanishes on the grid")
@@ -150,25 +157,15 @@ def verify_witness(f: BiPoly, w: CnWitness) -> WitnessVerdict:
     if any(q.modulus != prime for q in (w.h_a, w.h_b, w.g_a, w.g_b)):
         raise ModulusMismatch("polynomial and witness must share one modulus")
     p = prime.value
-    ga, gb = w.g_a.coeffs, w.g_b.coeffs
-    rows = 1 + max(f.x_degree, w.h_a.x_degree + w.g_a.degree, w.h_b.x_degree)
-    cols = 1 + max(f.y_degree, w.h_a.y_degree, w.h_b.y_degree + w.g_b.degree)
-    diff = [[0] * cols for _ in range(rows)]  # recomposed - f, unreduced
-    for i, row in enumerate(f.table):
-        for j, c in enumerate(row):
-            diff[i][j] -= c
-    for i, row in enumerate(w.h_a.table):  # h_A x^i y^j times g_A(x): shift along x
-        for j, c in enumerate(row):
-            if c:
-                for t, g in enumerate(ga):
-                    diff[i + t][j] += c * g
-    for i, row in enumerate(w.h_b.table):  # h_B x^i y^j times g_B(y): shift along y
-        out = diff[i]
-        for j, c in enumerate(row):
-            if c:
-                for t, g in enumerate(gb):
-                    out[j + t] += c * g
-    bad = [(i + j, i, c % p) for i, row in enumerate(diff) for j, c in enumerate(row) if c % p]
+    prod_a = _mul_tables(w.h_a.table, [[g] for g in w.g_a.coeffs], p)  # g_A(x): one column
+    prod_b = _mul_tables(w.h_b.table, [w.g_b.coeffs], p)  # g_B(y): one row
+    # recomposed - f, cell by cell; a table shorter than another reads as 0
+    bad = [
+        (i + j, i, c)
+        for i, rows in enumerate(zip_longest(prod_a, prod_b, f.table, fillvalue=()))
+        for j, c in enumerate([(x + y - z) % p for x, y, z in zip_longest(*rows, fillvalue=0)])
+        if c
+    ]
     if bad:
         d, i, c = min(bad)
         return WitnessVerdict(False, f"monomial x^{i} y^{d - i}: recomposed - f = {c} != 0")

@@ -2,15 +2,19 @@
 
 Univariate polynomials are ascending coefficient tuples; bivariate ones are
 rectangular tables indexed by (x-exponent, y-exponent). They are coefficient
-containers with evaluation and text I/O and no ring arithmetic: each builder
-below fills its table directly. Degrees stay small (a few dozen), so the
-tables hold plain ints.
+containers of plain ints with evaluation and text I/O and no ring operators.
+Each builder below fills its table directly, except the locus polynomial: it
+is a product of tables by the one exact product kernel, ``_mul_tables``,
+which packs whole tables into single ints (Kronecker substitution). The
+witness re-expansion in ``nullstellensatz`` uses the same kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -115,7 +119,7 @@ class BiPoly:
             data.pop()
         while data and width and not any(row[width - 1] for row in data):
             width -= 1
-            data = [row[:width] for row in data]
+        data = [row[:width] for row in data]
         # from a list, as in audit.extract_grids: see the note there
         return cls(prime, tuple([tuple(row) for row in data]))
 
@@ -139,9 +143,10 @@ class BiPoly:
     def total_degree(self) -> int:
         best = -1
         for i, row in enumerate(self.table):
-            for j, c in enumerate(row):
-                if c and i + j > best:
+            for j in range(len(row) - 1, best - i, -1):  # only cells that beat best
+                if row[j]:
                     best = i + j
+                    break
         return best
 
     def get(self, i: int, j: int) -> int:
@@ -246,17 +251,76 @@ def vanishing_polynomial(s: FpSet) -> UniPoly:
     return UniPoly.of(s.modulus, coeffs)
 
 
+# array typecode of each machine slot width in bytes
+_MACHINE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per packed slot holding 0..bound: a machine width when one fits."""
+    size = (bound.bit_length() + 7) // 8
+    return next((w for w in (1, 2, 4, 8) if size <= w), size)
+
+
+def _pack(values, width: int) -> int:
+    """One int whose slot s (``width`` bytes, little-endian) holds values[s]."""
+    code = _MACHINE_CODES.get(width)
+    if code is None:  # wider than a machine word: exact for any prime
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+    slots = array(code, values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(n: int, count: int, width: int) -> list[int]:
+    """The first ``count`` slots of n, inverse to ``_pack``."""
+    raw = n.to_bytes(count * width, "little")
+    code = _MACHINE_CODES.get(width)
+    if code is None:
+        return [int.from_bytes(raw[s:s + width], "little") for s in range(0, len(raw), width)]
+    slots = array(code, raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _mul_tables(a, b, p: int) -> list[list[int]]:
+    """Product mod p of two reduced coefficient tables, by Kronecker substitution.
+
+    Rows are x-exponents, columns y-exponents; the product is the full dense
+    table, or [] when a factor is empty. Both tables are packed row by row
+    into one int with the product's width as row stride, so x^i y^j sits at
+    slot i * cols + j and no cell of the product spills into another. Each
+    slot sums at most min(rows) * min(cols) products of at most (p-1)**2,
+    which sets the slot width; one big-int multiply gives every coefficient.
+    """
+    if not a or not b or not a[0] or not b[0]:
+        return []
+    rows, cols = len(a) + len(b) - 1, len(a[0]) + len(b[0]) - 1
+    width = _slot_width((p - 1) ** 2 * min(len(a), len(b)) * min(len(a[0]), len(b[0])))
+    product = 1
+    for table in (a, b):
+        pad = [0] * (cols - len(table[0]))
+        flat = []
+        for row in table:
+            flat += row
+            flat += pad
+        product *= _pack(flat, width)
+    flat = [c % p for c in _unpack(product, rows * cols, width)]
+    return [flat[s:s + cols] for s in range(0, rows * cols, cols)]
+
+
 def build_locus_poly(c: FpSet) -> BiPoly:
-    """(x - y) times the product of (x + y - t) over t in c; degree |c|+1."""
-    p, n = c.modulus.value, len(c) + 3  # row and column n-1 stay zero, so index -1 reads 0
-    g = [[0] * n for _ in range(n)]
-    g[1][0], g[0][1] = 1, p - 1  # x - y
-    for d, t in enumerate(c.elements, 2):  # g * (x + y - t) in place; its degree is d
-        for i in range(d, -1, -1):  # downward, so g[i - 1] and g[i][j - 1] are still old
-            row, low = g[i], g[i - 1]
-            for j in range(d - i, -1, -1):
-                row[j] = (low[j] + row[j - 1] - t * row[j]) % p
-    return BiPoly.of(c.modulus, g)
+    """(x - y) times the product of (x + y - t) over t in c; degree |c|+1.
+
+    The linear factors are multiplied pairwise, in a balanced tree.
+    """
+    p = c.modulus.value
+    level = [[[0, p - 1], [1, 0]]] + [[[-t % p, 1], [1, 0]] for t in c.elements]
+    while len(level) > 1:
+        pairs = [_mul_tables(level[s], level[s + 1], p) for s in range(0, len(level) - 1, 2)]
+        level = pairs + level[-1:] if len(level) % 2 else pairs
+    return BiPoly.of(c.modulus, level[0])
 
 
 def homogeneous_components(f: BiPoly) -> list[BiPoly]:
@@ -296,13 +360,20 @@ def cij_exact(i: int, j: int) -> int:
     return math.comb(i - 1, j - 1) - math.comb(i - 1, j)
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_row(d: int, prime: Prime) -> tuple[int, ...]:
+    # cij(d, j) for 0 <= j <= d, read once per degree and prime
+    return tuple([cij(d, j, prime) for j in range(d + 1)])
+
+
 def sigma_expansion(c: FpSet) -> BiPoly:
     """Rebuild the locus polynomial of c from its symmetric function values.
 
     Returns the sum over 0 <= i <= m = |c| of (-1)**i e_i(c) times the kernel
     (x - y)(x + y)**(m - i), which must equal build_locus_poly(c)
     identically. Each kernel is homogeneous of degree d = m + 1 - i, so its
-    coefficients cij(d, j) land directly at x**j y**(d - j).
+    coefficients cij(d, j) land directly at x**j y**(d - j); each degree's
+    row of them is built once per prime and cached.
     """
     prime = c.modulus
     m = len(c)
@@ -311,8 +382,8 @@ def sigma_expansion(c: FpSet) -> BiPoly:
     for i in range(m + 1):
         e = sig[i] if i % 2 == 0 else -sig[i]
         d = m + 1 - i
-        for j in range(d + 1):
-            table[j][d - j] += e * cij(d, j, prime)
+        for j, coeff in enumerate(_kernel_row(d, prime)):
+            table[j][d - j] += e * coeff
     return BiPoly.of(prime, table)
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import comb, gcd
 from typing import Iterator
@@ -359,6 +358,9 @@ def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
 def _run_shards(worker, arg_list, processes):
     if processes <= 1:
         return [worker(args) for args in arg_list]
+    # imported here: it pulls in multiprocessing, which only a pool needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(worker, arg_list))
 

@@ -84,6 +84,60 @@ def brute_bipoly_product(f, g, p):
     return {k: v for k, v in out.items() if v}
 
 
+def brute_vanishing(elems, p):
+    """Ascending coefficients of the product of (z - e) over elems, mod p."""
+    coeffs = [1]
+    for e in elems:
+        coeffs = [(lo - e * hi) % p for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def brute_first_nonzero(f, a, b, p):
+    """The first (x, y, f(x, y)) with a nonzero value, x over a, then y over b."""
+    for x in a:
+        for y in b:
+            v = sum(c * pow(x, i, p) * pow(y, j, p) for (i, j), c in f.items()) % p
+            if v:
+                return x, y, v
+    return None
+
+
+def brute_cn_decompose(f, a, b, p):
+    """Reduce a dense table f cell by cell: by g_A(x) in x, then by g_B(y) in y.
+
+    Every nonzero cell at x-exponent i >= |a| is moved into the quotient q_a
+    and rewritten through x**|a| = x**|a| - g_A(x); then the same in y on the
+    rows left. Returns (q_a, q_b, remainder) as dense tables; f vanishes on
+    a x b exactly when the remainder is zero.
+    """
+    m, n = len(a), len(b)
+    ga, gb = brute_vanishing(a, p), brute_vanishing(b, p)
+    work = [list(row) for row in f]
+    dx = len(work) - 1
+    dy = len(work[0]) - 1 if work else -1
+
+    qa = [[0] * (dy + 1) for _ in range(max(dx - m + 1, 0))]
+    for i in range(dx, m - 1, -1):
+        for j in range(dy + 1):
+            c = work[i][j]
+            if not c:
+                continue
+            qa[i - m][j] = (qa[i - m][j] + c) % p
+            for t in range(m + 1):
+                work[i - m + t][j] = (work[i - m + t][j] - c * ga[t]) % p
+
+    qb = [[0] * max(dy - n + 1, 0) for _ in range(min(dx + 1, m))]
+    for j in range(dy, n - 1, -1):
+        for i in range(min(dx + 1, m)):
+            c = work[i][j]
+            if not c:
+                continue
+            qb[i][j - n] = (qb[i][j - n] + c) % p
+            for t in range(n + 1):
+                work[i][j - n + t] = (work[i][j - n + t] - c * gb[t]) % p
+    return qa, qb, work
+
+
 def brute_bipoly_sum(f, g, p):
     """Sum of two {(i, j): c} polynomials, mod p."""
     out = {}

@@ -47,6 +47,14 @@ def test_cn_default_locus(capsys):
     assert "h_A:" in out and "h_B:" in out
 
 
+def test_cn_at_a_prime_beyond_machine_slots(capsys):
+    # at p = 2**31 - 1 the packed kernels need slots wider than 8 bytes
+    assert main(["cn", "-p", "2147483647", "-A", "0,1,2,3,5", "-B", "0,1,2,3,5"]) == 0
+    captured = capsys.readouterr()
+    assert "verdict: valid" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cn_user_polynomial_not_vanishing(tmp_path, capsys):
     poly = tmp_path / "f.txt"
     poly.write_text("1:0,0\n")
@@ -241,14 +249,30 @@ def test_verify_boundary_prime_records_but_does_not_fail(tmp_path, capsys):
     ("karolyi", "8", "3 exceptions"),
 ])
 def test_verify_non_default_target_records_only(tmp_path, capsys, theorem, target, found):
-    # no theorem speaks about these sizes, so the pairs are listed, not judged
+    # no theorem speaks about these sizes, so the pairs are listed, not judged;
+    # the hypotheses hold, so the summary names the target as the reason
     out = tmp_path / "report.json"
     argv = ["verify", theorem, "-p", "13", "-k", "5", "--target", target, "--out", str(out)]
     assert main(argv) == 0
-    assert f"{found} (hypotheses unmet; recorded only)" in capsys.readouterr().out
+    assert f"{found} (non-default target; recorded only)" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["expectation_checked"] is False
+    assert all(doc["hypothesis_flags"].values())
     assert doc["counterexample_count"] > 0
+
+
+def test_verify_unmet_hypotheses_outrank_non_default_target(tmp_path, capsys):
+    # p = 2k-1 fails a hypothesis and the target is not 2k-2: the unmet
+    # hypothesis is what the summary names
+    out = tmp_path / "report.json"
+    argv = ["verify", "main", "-p", "11", "-k", "6", "--target", "9", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert "0 counterexamples (hypotheses unmet; recorded only)" in printed
+    assert "non-default target" not in printed
+    doc = json.loads(out.read_text())
+    assert doc["expectation_checked"] is False
+    assert doc["hypothesis_flags"]["p_gt_2k_minus_1"] is False
 
 
 @pytest.mark.parametrize("theorem, target", [("main", "8"), ("karolyi", "7")])
@@ -314,3 +338,22 @@ def test_parser_built_on_first_main_call_and_reused():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 1, 1, 1] 1\n"
+
+
+def test_cli_import_loads_no_pool_machinery():
+    # only a sweep's pool branch imports concurrent.futures, which pulls in
+    # multiprocessing, so importing the package and its CLI loads neither
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, sumsetlab, sumsetlab.cli\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

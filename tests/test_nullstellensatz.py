@@ -18,7 +18,13 @@ from sumsetlab import (
     verify_witness,
 )
 
-from oracles import brute_bipoly_product, brute_bipoly_sum
+from oracles import (
+    brute_bipoly_product,
+    brute_bipoly_sum,
+    brute_cn_decompose,
+    brute_first_nonzero,
+    brute_vanishing,
+)
 
 P11 = Prime(11)
 
@@ -172,6 +178,44 @@ def test_decompose_completeness_on_locus_polynomials():
         bound_b = f.total_degree - len(b)
         assert w.h_a.is_zero or w.h_a.total_degree <= bound_a
         assert w.h_b.is_zero or w.h_b.total_degree <= bound_b
+
+
+@pytest.mark.parametrize("pv", [11, 13, 2**31 - 1])
+def test_decompose_matches_scalar_reduction_oracle(pv):
+    # vanishing f = h_A g_A(x) + h_B g_B(y) from random h over random grids:
+    # the packed reduction returns the scalar oracle's quotients. Then one
+    # cell of f is perturbed: where f no longer vanishes, the oracle leaves
+    # a remainder and NotVanishing names the first nonvanishing grid point
+    rng = random.Random(pv)
+    p = Prime(pv)
+    rejected = 0
+    for _ in range(40):
+        a = _random_set(rng, p, rng.randint(1, 6))
+        b = _random_set(rng, p, rng.randint(1, 6))
+        g_a, g_b = vanishing_polynomial(a), vanishing_polynomial(b)
+        assert list(g_a.coeffs) == brute_vanishing(a.elements, pv)
+        h_a = _terms(_random_bipoly(rng, p, 7))
+        h_b = _terms(_random_bipoly(rng, p, 7))
+        f = _recomposed(h_a, h_b, g_a, g_b, pv)
+        qa, qb, rest = brute_cn_decompose(_bipoly(p, f).table, a.elements, b.elements, pv)
+        assert not any(map(any, rest))
+        w = cn_decompose(_bipoly(p, f), a, b)
+        assert (w.h_a, w.h_b) == (BiPoly.of(p, qa), BiPoly.of(p, qb))
+
+        cell = (rng.randrange(8), rng.randrange(8))
+        f[cell] = (f.get(cell, 0) + rng.randrange(1, pv)) % pv
+        point = brute_first_nonzero(f, a.elements, b.elements, pv)
+        qa, qb, rest = brute_cn_decompose(_bipoly(p, f).table, a.elements, b.elements, pv)
+        assert any(map(any, rest)) == (point is not None)
+        if point is None:  # x^i y^j vanishes on the grid when a = {0} and i > 0
+            w = cn_decompose(_bipoly(p, f), a, b)
+            assert (w.h_a, w.h_b) == (BiPoly.of(p, qa), BiPoly.of(p, qb))
+            continue
+        rejected += 1
+        with pytest.raises(NotVanishing) as info:
+            cn_decompose(_bipoly(p, f), a, b)
+        assert (*info.value.point, info.value.value) == point
+    assert rejected > 30
 
 
 def test_verify_witness_detects_corruption():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,15 @@ from sumsetlab import (
     vanishing_polynomial,
 )
 
-from oracles import antisym_row, brute_bipoly_sum, brute_locus_coefficients, pascal_rows
+from sumsetlab.poly import _mul_tables, _pack, _slot_width, _unpack
+
+from oracles import (
+    antisym_row,
+    brute_bipoly_product,
+    brute_bipoly_sum,
+    brute_locus_coefficients,
+    pascal_rows,
+)
 
 P7 = Prime(7)
 P11 = Prime(11)
@@ -253,3 +262,57 @@ def test_roots_examples():
         assert roots_over_fp(vanishing_polynomial(s)) == s
         assert splits_with_distinct_roots(vanishing_polynomial(s))
     assert not splits_with_distinct_roots(UniPoly.of(P7, [1, 0, 1]))
+
+
+def _cells(table):
+    """A dense table as the oracles' {(i, j): c} dict of nonzero cells."""
+    return {(i, j): c for i, row in enumerate(table) for j, c in enumerate(row) if c}
+
+
+def test_pack_unpack_round_trip():
+    assert [_slot_width(b) for b in (0, 1, 255, 256, 65535, 65536, 2**32, 2**64 - 1, 2**64)] == [
+        1, 1, 1, 2, 2, 4, 8, 8, 9
+    ]
+    rng = random.Random(32)
+    for width in (1, 2, 4, 8, 9, 16):
+        top = 256**width - 1
+        # slot s sits at bit 8 * width * s, lowest first
+        assert _pack([1, 2, 3], width) == 1 + (2 << 8 * width) + (3 << 16 * width)
+        for count in (1, 5, 40):
+            values = [rng.choice((0, top, rng.randrange(top + 1))) for _ in range(count)]
+            packed = _pack(values, width)
+            assert _unpack(packed, count, width) == values
+            assert _unpack(packed, count + 3, width) == values + [0, 0, 0]
+        with pytest.raises(OverflowError):  # a value too wide for its slot is refused
+            _pack([top + 1], width)
+
+
+def test_mul_tables_against_oracle_product():
+    # random reduced tables against the naive dict product: edge shapes,
+    # rectangles up to 40 x 40 and tables with all-zero rows and columns, at
+    # primes that between them use every slot width
+    rng = random.Random(31)
+    edge = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (40, 40)]
+    widths = set()
+    for pv in (2, 3, 11, 251, 65537, 2**31 - 1):
+        shapes = list(itertools.product(edge, repeat=2))
+        while len(shapes) < 45:
+            pair = tuple((rng.randint(1, 40), rng.randint(1, 40)) for _ in range(2))
+            if pair[0][0] * pair[0][1] * pair[1][0] * pair[1][1] <= 40_000:
+                shapes.append(pair)
+        for (ra, ca), (rb, cb) in shapes:
+            if ra * ca * rb * cb > 100_000:
+                continue  # the oracle is quadratic in cells
+            a = [[rng.randrange(pv) for _ in range(ca)] for _ in range(ra)]
+            b = [[rng.randrange(pv) for _ in range(cb)] for _ in range(rb)]
+            if rng.random() < 0.3:  # an all-zero row and column inside
+                i, j = rng.randrange(ra), rng.randrange(ca)
+                a[i] = [0] * ca
+                for row in a:
+                    row[j] = 0
+            got = _mul_tables(a, b, pv)
+            assert len(got) == ra + rb - 1 and {len(row) for row in got} == {ca + cb - 1}
+            assert _cells(got) == brute_bipoly_product(_cells(a), _cells(b), pv)
+            widths.add(_slot_width((pv - 1) ** 2 * min(ra, rb) * min(ca, cb)))
+        assert _mul_tables([], [[1]], pv) == _mul_tables([[1]], [], pv) == []
+    assert {1, 2, 4, 8} < widths and max(widths) > 8
