@@ -95,6 +95,27 @@ class FpSet:
             m |= 1 << e
         return m
 
+    @functools.cached_property
+    def _ap_candidates(self) -> tuple[tuple[int, int], ...]:
+        # every (start, diff) with diff != 0 generating a set of size >= 2, in
+        # increasing order. A generating diff is +-(x - e0) for e0 the least
+        # element and some other x. As x -> x + diff is one cycle through
+        # Z/pZ, it generates a proper subset S iff exactly one element of S,
+        # the start, is not in S + diff: |S & (S + diff)| = |S| - 1
+        p = self.modulus.value
+        m = len(self.elements)
+        if m == p:
+            return tuple((a, d) for a in range(p) for d in range(1, p))
+        full = (1 << p) - 1
+        s = self.mask
+        e0 = self.elements[0]
+        found = []
+        for d in {d % p for x in self.elements[1:] for d in (x - e0, e0 - x)}:
+            shifted = _rotate(s, d, p, full)
+            if (s & shifted).bit_count() == m - 1:
+                found.append(((s & ~shifted).bit_length() - 1, d))
+        return tuple(sorted(found))
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -158,37 +179,15 @@ class ApWitness:
         return FpSet.of(self.modulus, (s + t * d for t in range(self.length)))
 
 
-def _ap_candidates(s: FpSet) -> list[tuple[int, int]]:
-    # all (start, diff) with diff != 0 generating s; only called for len >= 3
-    p = s.modulus.value
-    m = len(s)
-    members = set(s.elements)
-    if m == p:
-        return [(a, d) for d in range(1, p) for a in range(p)]
-    found = []
-    for d in range(1, p):
-        starts = [e for e in s.elements if (e - d) % p not in members]
-        if len(starts) != 1:
-            continue
-        e = starts[0]
-        ok = True
-        for _ in range(m - 1):
-            e = (e + d) % p
-            if e not in members:
-                ok = False
-                break
-        if ok:
-            found.append((starts[0], d))
-    return found
-
-
 def is_arithmetic_progression(s: FpSet) -> ApWitness | None:
     """Detect progression structure under any ordering of the elements.
 
     Sets of size 1 and 2 are progressions by convention (diff 1 for a
-    singleton, second minus first for a pair). For larger sets every
-    nonzero difference is tried; the witness returned is the one with
-    lexicographically least (start, diff).
+    singleton, second minus first for a pair). For larger sets only the
+    differences +-(x - e0), e0 the least element, are tried, each by one
+    popcount on the mask; the witness returned is the one with
+    lexicographically least (start, diff). The set caches its generators,
+    so classifying and recording it again costs nothing.
     """
     if not s.elements:
         raise EmptySet("empty set has no progression structure")
@@ -196,13 +195,9 @@ def is_arithmetic_progression(s: FpSet) -> ApWitness | None:
     m = len(s)
     if m == 1:
         return ApWitness(s.elements[0], 1, 1, prime)
-    if m == 2:
-        lo, hi = s.elements
-        return ApWitness(lo, hi - lo, 2, prime)
-    candidates = _ap_candidates(s)
-    if not candidates:
+    if not s._ap_candidates:
         return None
-    start, diff = min(candidates)
+    start, diff = s._ap_candidates[0]
     return ApWitness(start, diff, m, prime)
 
 
@@ -256,17 +251,14 @@ class PairClassification:
     labels: frozenset[str]
 
 
-def _ap_differences(s: FpSet) -> set[int]:
-    # nonzero differences d for which s is a progression with difference d;
-    # a singleton is compatible with every difference
-    p = s.modulus.value
-    m = len(s)
-    if m == 1:
-        return set(range(1, p))
-    if m == 2:
-        lo, hi = s.elements
-        return {(hi - lo) % p, (lo - hi) % p}
-    return {d for _, d in _ap_candidates(s)}
+def _share_ap_difference(a: FpSet, b: FpSet) -> bool:
+    # whether a and b are progressions with a common difference; a
+    # singleton is one with every difference
+    if len(a) == 1:
+        return len(b) == 1 or bool(b._ap_candidates)
+    if len(b) == 1:
+        return bool(a._ap_candidates)
+    return not {d for _, d in a._ap_candidates}.isdisjoint(d for _, d in b._ap_candidates)
 
 
 def classify_pair(a: FpSet, b: FpSet) -> PairClassification:
@@ -296,7 +288,7 @@ def classify_pair(a: FpSet, b: FpSet) -> PairClassification:
         image = {(c - x) % p for x in a.elements}
         if set(b.elements) == set(range(p)) - image:
             labels.add(VOSPER_COMPLEMENT)
-    if _ap_differences(a) & _ap_differences(b):
+    if _share_ap_difference(a, b):
         labels.add(VOSPER_AP)
     if k >= 3 and ell >= 4 and len(s) == k + ell and len(s) <= p - 4:
         labels.add(HAMIDOUNE_RODSETH)

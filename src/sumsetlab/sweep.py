@@ -4,7 +4,10 @@ Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
 sweep over all nonempty pairs. All three share one bitmask engine, and one
-kernel in it scans the maps x -> lam*x + mu of a set onto a mask:
+kernel in it scans the maps x -> lam*x + mu of a set onto a mask. As that
+mask starts with a run 0..r0-1, for each multiplier only the offsets that
+start an equally long run of the image are compared, so most images are
+settled by a few shifts of one mask:
 
 - the outer set A runs over affine-orbit representatives, grown depth-first
   from {0} by orderly generation (a representative stays one when its
@@ -16,7 +19,9 @@ kernel in it scans the maps x -> lam*x + mu of a set onto a mask:
   A+B) one element of B at a time. The theorem sweeps carry the later
   elements whose single extension still fits the target, and cut a branch
   once fewer are left than it needs; the bounds sweep checks both bounds at
-  every node and cuts a branch once A+.B is the whole field;
+  every node and cuts a branch once A+.B is the whole field or |B| = |A|
+  (both bounds are symmetric in A and B, so a larger B is met from the
+  other side, at the representative of its own orbit);
 - each theorem hit (A, B) is reduced against the representative A by the
   kernel run on B onto A: it is dropped when an image of B is lex-below A,
   since that orbit is found again from the representative of B, and
@@ -68,7 +73,7 @@ __all__ = [
     "DEFAULT_THEOREM_CEILING",
 ]
 
-DEFAULT_BOUNDS_CEILING = 13
+DEFAULT_BOUNDS_CEILING = 17
 DEFAULT_THEOREM_CEILING = 19
 
 # outer sets are dealt to shards by their first k - _ROOT_LAG elements: orbit
@@ -224,10 +229,16 @@ def report_to_json(report: SweepReport) -> str:
 
 
 def _pool_size(workers: int, tasks: int) -> int:
-    # a forking pool starts every worker up front: clamp to CPUs and tasks
+    # a forking pool starts every worker up front: clamp to tasks and to the
+    # CPUs this process may run on (the host's count where the platform
+    # cannot say)
     if workers < 1:
         raise InvalidArgument(f"workers must be at least 1, got {workers}")
-    return max(1, min(workers, os.cpu_count() or 1, tasks))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, tasks))
 
 
 @functools.cache
@@ -246,14 +257,33 @@ def _maps_onto(
     # compete (so a set without 0 is never a rep). With ref the set's own
     # mask this is the orbit-rep test, and the maps it returns are the
     # stabiliser.
+    #
+    # ref starts with the run 0..r0-1 and lacks r0. An image translated by
+    # -t that misses some bit below r0 sorts above ref, so only the offsets
+    # t starting a run of r0 elements are compared: the AND of the doubled
+    # image shifted right by 0..r0-1 (built by doubling the run length).
+    # Such a t with t + r0 in the image as well sorts below ref. At a
+    # prime at most one offset per multiplier can match a ref other than
+    # the whole field (r0 = p, where every offset matches and none is below).
+    r0 = ((ref + 1) & ~ref).bit_length() - 1
     maps = []
     for lam in _units(p):
         image = 0
         for e in elems:
             image |= 1 << lam * e % p
         image |= image << p  # x -> x - t is now a shift right by t
-        for e in elems:
-            t = lam * e % p
+        starts, run = image, 1
+        while run < r0:
+            step = min(run, r0 - run)
+            starts &= starts >> step
+            run += step
+        starts &= full
+        if r0 < p and starts & image >> r0:
+            return None
+        while starts:
+            low = starts & -starts
+            starts ^= low
+            t = low.bit_length() - 1
             y = image >> t & full
             diff = y ^ ref
             if not diff:
@@ -512,9 +542,12 @@ def _nonempty_reps(p: int) -> list[tuple[int, list[tuple[int, int]]]]:
 
 
 def _rep_violations(a_mask: int, p: int, full: int) -> list[tuple[int, int, str, int, int]]:
-    # every B breaking a bound against A, walking B in increasing order; each
-    # step ORs A+b into A+B and (A minus b)+b into A+.B, and a branch is cut
-    # once A+.B is the whole field, as both sums then stay whole above it
+    # every B of size at most |A| breaking a bound against A, walking B in
+    # increasing order; each step ORs A+b into A+B and (A minus b)+b into
+    # A+.B. A branch is cut once A+.B is the whole field, as both sums then
+    # stay whole above it, and once |B| = |A|: both bounds and the report's
+    # unordered pairs are symmetric in A and B, so a violating {X, Y} with
+    # |X| >= |Y| is found at rep(X), with B an image of Y
     ka = a_mask.bit_count()
     grow = [_rotate(a_mask, b, p, full) for b in range(p)]
     grow_r = [_rotate(a_mask & ~(1 << b), b, p, full) for b in range(p)]
@@ -534,7 +567,7 @@ def _rep_violations(a_mask: int, p: int, full: int) -> list[tuple[int, int, str,
             size = r.bit_count()
             if size < need_r:
                 found.append((a_mask, m, "restricted", size, need_r))
-            if r != full:
+            if r != full and kb < ka:
                 extend(s, r, m, kb + 1, b + 1)
 
     extend(0, 0, 0, 1, 0)
@@ -573,9 +606,10 @@ def verify_bounds(
     size is >= min(p, |A|+|B|-3); the diagonal pairs of the second check
     cover the restricted bound min(p, 2|A|-3) for A = B. Zero violations
     expected at any prime; guarded by an exhaustive ceiling. Only
-    affine-orbit representatives A are walked, against every B;
-    pairs_scanned counts every member of each rep's orbit against every B,
-    and each violation found is listed for every pair in its orbit.
+    affine-orbit representatives A are walked, against every B with
+    |B| <= |A| (both checks are symmetric in A and B); pairs_scanned counts
+    every member of each rep's orbit against every B, and each violation
+    found is listed for every pair in its orbit.
     """
     prime = as_prime(p)
     _check_ceiling(prime, ceiling)

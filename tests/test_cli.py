@@ -16,6 +16,14 @@ def test_sumset_human(capsys):
     assert "diagonal" in out
 
 
+def test_sumset_at_a_large_prime(capsys):
+    # the progression test costs a few mask shifts per set, not p steps
+    assert main(["sumset", "-p", "1000003", "-A", "0,1,2,3,5", "-B", "0,1,2,3,5"]) == 0
+    out = capsys.readouterr().out
+    assert "A∔B (8): 1,2,3,4,5,6,7,8" in out
+    assert "labels: diagonal, eh_plus_one, hamidoune_rodseth_applicable" in out
+
+
 def test_sumset_records(capsys):
     assert main(
         ["sumset", "-p", "7", "-A", "0", "-B", "3", "--format", "records"]
@@ -162,7 +170,7 @@ def test_verify_bounds_report(tmp_path, capsys):
 def test_verify_ceiling_guard(capsys):
     assert main(["verify", "main", "-p", "101", "-k", "40"]) == 4
     assert "ceiling" in capsys.readouterr().err
-    assert main(["verify", "bounds", "-p", "17"]) == 4
+    assert main(["verify", "bounds", "-p", "19"]) == 4
     assert main(["verify", "main", "-p", "23", "-k", "3"]) == 4
     assert main(["verify", "karolyi", "-p", "13", "-k", "5", "--ceiling", "11"]) == 4
     assert "raise with --ceiling" in capsys.readouterr().err
@@ -195,7 +203,7 @@ def test_verify_guard_keeps_existing_report(tmp_path):
         ["verify", "bounds", "-p", "7", "--ceiling", "1"],
         # checked before the sweep, whose ceiling guard would exit 4
         ["verify", "main", "-p", "23", "-k", "3", "--out", "missing/report.json"],
-        ["verify", "bounds", "-p", "17", "--out", "."],
+        ["verify", "bounds", "-p", "19", "--out", "."],
         # the bounds sweep takes no subset size or target
         ["verify", "bounds", "-p", "7", "-k", "3"],
         ["verify", "bounds", "-p", "7", "--target", "2"],

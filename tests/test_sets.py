@@ -102,23 +102,31 @@ def test_ap_detection_examples():
     assert (w.start, w.diff, w.length) == (0, 2, 4)
     assert is_arithmetic_progression(FpSet.of(P7, [0, 1, 3])) is None
     assert not brute_ap_witnesses((0, 1, 3), 7)
+    # a prime far above any sweep: both witnesses, and none for a non-progression
+    big = Prime(1000003)
+    s = FpSet.of(big, [0, 2, 4, 6])
+    assert s._ap_candidates == ((0, 2), (6, big.value - 2))
+    w = is_arithmetic_progression(s)
+    assert (w.start, w.diff, w.length) == (0, 2, 4)
+    assert is_arithmetic_progression(FpSet.of(big, [0, 1, 2, 3, 5])) is None
     with pytest.raises(EmptySet):
         is_arithmetic_progression(FpSet.of(P7, []))
 
 
 def test_ap_detection_against_brute_force():
-    # every subset of F_7 and F_11 up to size 5
+    # every nonempty subset of F_7 and F_11; sets of size 1 and 2 are
+    # progressions by convention, and the convention is the least witness
     for pv in (7, 11):
         p = Prime(pv)
-        for size in range(1, 6):
+        for size in range(1, pv + 1):
             for elems in itertools.combinations(range(pv), size):
                 witnesses = brute_ap_witnesses(elems, pv)
                 got = is_arithmetic_progression(FpSet(p, elems))
                 if size <= 2:
-                    assert got is not None  # small sets are progressions by convention
-                elif witnesses:
+                    assert witnesses
+                if witnesses:
                     assert got is not None
-                    assert (got.start, got.diff) == min(witnesses)
+                    assert (got.start, got.diff, got.length) == (*min(witnesses), size)
                     assert got.expand().elements == elems
                 else:
                     assert got is None
@@ -199,6 +207,13 @@ def test_classify_pair_examples():
     assert EH_TIGHT in cls.labels
     assert cls.restricted_size == 7
     assert DIAGONAL in cls.labels
+
+    # a singleton shares every difference, found without listing them all
+    big = Prime(1000003)
+    single = FpSet.of(big, [7])
+    assert VOSPER_AP in classify_pair(single, FpSet.of(big, [0, 2, 4, 6])).labels
+    assert VOSPER_AP in classify_pair(FpSet.of(big, [5]), single).labels
+    assert VOSPER_AP not in classify_pair(FpSet.of(big, [0, 1, 2, 3, 5]), single).labels
 
 
 def test_classify_pair_complement_case():

@@ -290,29 +290,50 @@ def test_stabiliser_fixes_the_rep():
                 assert sorted(stab) == sorted(maps)
 
 
+def _check_maps_onto(a, b, p):
+    # None exactly when some image of B sorts below A, else every map
+    # sending B onto A, in multiplier order
+    images = {
+        (lam, mu): sorted((lam * x + mu) % p for x in b)
+        for lam in range(1, p)
+        for mu in range(p)
+    }
+    got = _maps_onto(tuple(b), _mask(a), p, (1 << p) - 1)
+    if any(image < list(a) for image in images.values()):
+        assert got is None
+    else:
+        onto = [m for m, image in images.items() if image == list(a)]
+        assert got is not None
+        assert sorted(got) == onto
+        assert [lam for lam, _ in got] == [lam for lam, _ in onto]
+
+
 def test_maps_onto_matches_brute_force():
-    # every A containing 0 against every B of its size: None exactly when
-    # some image of B sorts below A, else every map sending B onto A
+    # every A containing 0 against every B of its size
     for p in (5, 7):
-        full = (1 << p) - 1
         for k in range(1, p + 1):
             subsets = list(itertools.combinations(range(p), k))
             for a in subsets:
                 if a[0] != 0:
                     continue
                 for b in subsets:
-                    images = {
-                        (lam, mu): sorted((lam * x + mu) % p for x in b)
-                        for lam in range(1, p)
-                        for mu in range(p)
-                    }
-                    got = _maps_onto(b, _mask(a), p, full)
-                    if any(image < list(a) for image in images.values()):
-                        assert got is None
-                    else:
-                        onto = {m for m, image in images.items() if image == list(a)}
-                        assert got is not None and len(got) == len(set(got))
-                        assert set(got) == onto
+                    _check_maps_onto(a, b, p)
+    # seeded references with a leading run 0..r0-1 of every length r0,
+    # without 0 (r0 = 0) up to the whole field (r0 = p), and their least
+    # images, against random sets and images of the reference
+    rng = random.Random(2718)
+    for p in (11, 13):
+        for r0 in range(p + 1):
+            for _ in range(4):
+                rest = [x for x in range(r0 + 1, p) if rng.random() < 0.5]
+                a = list(range(r0)) + rest
+                if not a:
+                    continue
+                for ref in (a, list(brute_canonical_pair(a, a, p)[0])):
+                    for _ in range(4):
+                        lam, mu = rng.randrange(1, p), rng.randrange(p)
+                        _check_maps_onto(ref, [(lam * x + mu) % p for x in ref], p)
+                        _check_maps_onto(ref, rng.sample(range(p), len(ref)), p)
 
 
 def test_canonical_masks_invariant_under_affine_maps_and_swap():
@@ -331,6 +352,8 @@ def test_canonical_masks_invariant_under_affine_maps_and_swap():
 
 
 def test_pool_size_clamps_to_cpus_and_tasks(monkeypatch):
+    # without an affinity call, the host's CPU count
+    monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     assert _pool_size(1, 100) == 1
     assert _pool_size(10**6, 100) == 4
@@ -338,6 +361,12 @@ def test_pool_size_clamps_to_cpus_and_tasks(monkeypatch):
     assert _pool_size(3, 0) == 1
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
     assert _pool_size(8, 100) == 1
+    # with one, only the CPUs this process may run on
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert _pool_size(10**6, 100) == 3
+    assert _pool_size(2, 100) == 2
+    assert _pool_size(8, 1) == 1
     for workers in (0, -5):
         with pytest.raises(InvalidArgument):
             _pool_size(workers, 100)
@@ -404,6 +433,7 @@ BOUNDS_PINS = {
     5: "b447e58cac7269c93c97c4fccf69c9d5375eca47a6274194dfaae6e7331123b5",
     13: "635e5e0e1bef4747938d66bbb4b6aee68c7156d91f89a8838864061d862864fe",
 }
+BOUNDS_P17_PIN = "3f476e2f963d94936e0f14f96f08d1b9506459b36fabf7e0c4bd9ef9db0dfc81"
 
 
 def _sha256(report):
@@ -418,6 +448,8 @@ def test_report_pins(monkeypatch):
     for p, pin in BOUNDS_PINS.items():
         for workers in (1, 2):
             assert _sha256(verify_bounds(p, workers=workers)) == pin, (p, workers)
+    # the default bounds ceiling, once: worker counts are covered above
+    assert _sha256(verify_bounds(17, workers=2)) == BOUNDS_P17_PIN
     # the same bytes the benchmark pins for boundary-p17k9, tiny-bounds-p7
     # and bounds-p11
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
@@ -598,8 +630,9 @@ def test_orbit_sizes_of_every_rep_sum_to_the_nonempty_sets():
 
 
 def test_bounds_ceiling_guard():
+    assert sweep.DEFAULT_BOUNDS_CEILING == 17
     with pytest.raises(CeilingExceeded):
-        verify_bounds(17)
+        verify_bounds(19)
     report = verify_bounds(5, ceiling=5)
     assert report.violations == []
 
