@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: sumset, cn, audit, verify, enumerate. Exit codes: 0 success or
-clean result, 1 mathematical failure, 2 input parse error, 3 hypothesis
-violation, 4 resource guard tripped. Structured output (--format records)
+clean result, 1 mathematical failure, 2 input parse error (a modulus above
+MAX_MODULUS among them), 3 hypothesis violation, 4 resource guard tripped
+(a sweep above its ceiling, or memory exhausted). Structured output (--format records)
 is one self-describing record per line so sweeps can stream; human output
 formats the same data.
 """
@@ -44,12 +45,19 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_GUARD = 4
 
+# the largest modulus accepted, checked before the primality test: trial
+# division then takes under 25,000 steps, and the polynomial kernels are
+# exact up to here; the set masks still cost p bits each
+MAX_MODULUS = 2**31 - 1
+
 
 class _ParseFailure(Exception):
     pass
 
 
 def _parse_prime(value: int) -> Prime:
+    if value > MAX_MODULUS:
+        raise _ParseFailure(f"modulus {value} above the supported maximum {MAX_MODULUS}")
     try:
         return Prime(value)
     except CompositeModulus as exc:
@@ -358,6 +366,9 @@ def main(argv=None) -> int:
         return EXIT_HYPOTHESIS
     except CeilingExceeded as exc:
         print(f"guard: {exc} (raise with --ceiling)", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("guard: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except SumsetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

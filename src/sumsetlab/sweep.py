@@ -4,24 +4,26 @@ Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
 sweep over all nonempty pairs. All three share one bitmask engine, and one
-kernel in it scans the maps x -> lam*x + mu of a set onto a mask. As that
-mask starts with a run 0..r0-1, for each multiplier only the offsets that
-start an equally long run of the image are compared, so most images are
-settled by a few shifts of one mask:
+kernel in it scans the maps x -> lam*x + mu of a set, given its images
+lam*X, onto a mask. As that mask starts with a run 0..r0-1, for each
+multiplier only the offsets that start an equally long run of the image are
+compared, so most images are settled by a few shifts of one mask:
 
 - the outer set A runs over affine-orbit representatives, grown depth-first
   from {0} by orderly generation (a representative stays one when its
   largest element is dropped, so non-representatives are pruned with their
-  subtrees). The kernel run on A onto itself is the rep test, and the maps
-  it finds are A's stabiliser. The theorem sweeps take the reps of size k,
-  the bounds sweep those of every size;
-- for each A a depth-first walk over B in increasing order grows A+.B (and
-  A+B) one element of B at a time. The theorem sweeps carry the later
-  elements whose single extension still fits the target, and cut a branch
-  once fewer are left than it needs; the bounds sweep checks both bounds at
-  every node and cuts a branch once A+.B is the whole field or |B| = |A|
-  (both bounds are symmetric in A and B, so a larger B is met from the
-  other side, at the representative of its own orbit);
+  subtrees). A child's images are its parent's with one bit ORed into each,
+  and the kernel run on A onto itself is the rep test; the maps it finds
+  are A's stabiliser. The theorem sweeps take the reps of size k, the
+  bounds sweep those of every size;
+- for each A the theorem sweeps walk B inside the complement of A+.B. By
+  the complement step of Vosper's theorem, x misses A+.B iff B avoids every
+  b with x in (A minus b) + b, so the p - target missed residues are chosen
+  first, with the b that avoid them, and the hits are the k-subsets of
+  those that cover the rest. The bounds sweep walks B in increasing order,
+  checks both bounds at every node and cuts a branch once A+.B is the whole
+  field or |B| = |A| (both bounds are symmetric in A and B, so a larger B
+  is met from the other side, at the representative of its own orbit);
 - each theorem hit (A, B) is reduced against the representative A by the
   kernel run on B onto A: it is dropped when an image of B is lex-below A,
   since that orbit is found again from the representative of B, and
@@ -33,7 +35,8 @@ All three sweeps deal work to shards by stride: the theorem sweeps deal the
 rep prefixes of size k-3 to one shard per process, the bounds sweep its
 reps to 16 shards per process, which free processes take in turn. The
 parent takes the union of the shards' results, so reports are
-byte-identical for any worker count.
+byte-identical for any worker count. A theorem target above p needs no
+shard: no pair reaches it, and the reps are counted in closed form.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import json
 import os
 from dataclasses import dataclass, field as dataclass_field
 from math import comb, gcd
+from operator import or_
 from typing import Iterator
 
 from .audit import AuditTrace, audit_sigma_chain
@@ -248,15 +252,42 @@ def _units(n: int) -> tuple[int, ...]:
     return tuple(lam for lam in range(1, n) if gcd(lam, n) == 1)
 
 
-def _maps_onto(
-    elems: tuple[int, ...], ref: int, p: int, full: int
-) -> list[tuple[int, int]] | None:
-    # the maps x -> lam*x + mu (lam a unit) sending the set elems onto the
-    # mask ref, or None as soon as some image is lex-below ref; equal-size
-    # X <lex Y iff the lowest bit of X^Y is in X, and only images with 0
-    # compete (so a set without 0 is never a rep). With ref the set's own
-    # mask this is the orbit-rep test, and the maps it returns are the
-    # stabiliser.
+def _orbit_count(p: int, k: int) -> int:
+    # the orbits of k-subsets under x -> lam*x + mu at a prime, by Burnside:
+    # the identity fixes all C(p, k) sets, a translation (a p-cycle) only
+    # {} and F, and a map with lam != 1 (one fixed point, (p-1)/o cycles of
+    # length o = ord(lam)) the unions of k // o cycles when k is 0 or 1 mod o
+    fixed = comb(p, k) + (p - 1) * (k in (0, p))
+    for lam in range(2, p):
+        o, x = 1, lam
+        while x != 1:
+            x = x * lam % p
+            o += 1
+        if k % o < 2:
+            fixed += p * comb((p - 1) // o, k // o)
+    return fixed // (p * (p - 1))
+
+
+@functools.cache
+def _dilations(p: int) -> tuple[tuple[int, ...], ...]:
+    # row e: the bit of lam*e for each multiplier lam of _units(p)
+    return tuple(tuple(1 << lam * e % p for lam in _units(p)) for e in range(p))
+
+
+def _images(mask: int, p: int) -> list[int]:
+    # the masks lam*X for the multipliers lam of _units(p), in order: the
+    # bits of one image are distinct, so their sum is their OR
+    rows = [_dilations(p)[e] for e in _mask_elements(mask)]
+    return list(map(sum, zip([0] * len(_units(p)), *rows)))
+
+
+def _maps_onto(images: list[int], ref: int, p: int, full: int) -> list[tuple[int, int]] | None:
+    # the maps x -> lam*x + mu sending a set onto the mask ref, given the
+    # set's images lam*X in the order of _units(p); None as soon as some
+    # image is lex-below ref. Equal-size X <lex Y iff the lowest bit of X^Y
+    # is in X, and only images with 0 compete (so a set without 0 is never
+    # a rep). With ref the set's own mask this is the orbit-rep test, and
+    # the maps it returns are the stabiliser.
     #
     # ref starts with the run 0..r0-1 and lacks r0. An image translated by
     # -t that misses some bit below r0 sorts above ref, so only the offsets
@@ -267,10 +298,7 @@ def _maps_onto(
     # the whole field (r0 = p, where every offset matches and none is below).
     r0 = ((ref + 1) & ~ref).bit_length() - 1
     maps = []
-    for lam in _units(p):
-        image = 0
-        for e in elems:
-            image |= 1 << lam * e % p
+    for lam, image in zip(_units(p), images):
         image |= image << p  # x -> x - t is now a shift right by t
         starts, run = image, 1
         while run < r0:
@@ -294,23 +322,28 @@ def _maps_onto(
 
 
 def _outer_sets(
-    root: int, size: int, p: int, k: int
+    root: int, size: int, p: int, k: int, images: list[int] | None = None
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     # the orbit reps of the given size grown from root by elements above its
     # maximum that can still reach k elements, each with its stabiliser
     # (orderly generation: a rep stays a rep when its largest element is
-    # dropped, so no rep lies above a non-rep)
+    # dropped, so no rep lies above a non-rep). images are root's images
+    # lam*root; a child's are its parent's with one bit ORed into each
+    if images is None:
+        images = _images(root, p)
     have = root.bit_count() + 1
     full = (1 << p) - 1
+    rows = _dilations(p)
     for e in range(root.bit_length(), p - k + have):
         mask = root | 1 << e
-        stab = _maps_onto(_mask_elements(mask), mask, p, full)
+        child = list(map(or_, images, rows[e]))
+        stab = _maps_onto(child, mask, p, full)
         if stab is None:
             continue
         if have == size:
             yield mask, stab
         else:
-            yield from _outer_sets(mask, size, p, k)
+            yield from _outer_sets(mask, size, p, k, child)
 
 
 def _image(mask: int, lam: int, mu: int, p: int) -> int:
@@ -326,7 +359,7 @@ def _orbit_pair(
     # as then the orbit is found again from rep(B) (A+.B is symmetric).
     # Otherwise the first set is A, and the second is the least image of B
     # under stab or of A under the maps sending B onto A.
-    onto = _maps_onto(_mask_elements(b_mask), a_mask, p, full)
+    onto = _maps_onto(_images(b_mask, p), a_mask, p, full)
     if onto is None:
         return None
     best = full + 1  # above every candidate: the first one wins
@@ -340,32 +373,43 @@ def _orbit_pair(
 
 
 def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[int]:
-    # every k-subset B with |A+.B| = target, walking B in increasing order;
-    # A+.B only grows with B and never passes p, so each level keeps the
-    # later b whose single extension still fits the target (a clique-search
-    # candidate set) and cuts a branch with fewer candidates than it needs
+    # every k-subset B with |A+.B| = target, i.e. A+.B = F minus D for one
+    # D of size p - target. A+.B is the union of grow[b] = (A minus b) + b
+    # over b in B, so x misses it iff B avoids bad[x], the b with x in
+    # grow[b] (Vosper's complement step). D is chosen in increasing order,
+    # keeping the b that avoid it, and a branch is cut once fewer than k are
+    # left; a k-subset of those has A+.B inside F minus D and is a hit iff
+    # it fills it, which fixes D, so each hit is found once
     if target > p:
         return []
     grow = [_rotate(a_mask & ~(1 << b), b, p, full) for b in range(p)]
+    # b is in bad[x] iff x - b is in A minus b: -A turned by x, less x/2
+    neg = sum(1 << -e % p for e in _mask_elements(a_mask))
+    bad = [_rotate(neg, x, p, full) for x in range(p)]
+    for b in range(p):
+        bad[2 * b % p] &= ~(1 << b)
     hits = []
 
-    def extend(acc: int, b_mask: int, cands: list[int], left: int) -> None:
-        for i in range(len(cands) - left + 1):
+    def extend(acc: int, b_mask: int, cands: tuple[int, ...], start: int, left: int) -> None:
+        for i in range(start, len(cands) - left + 1):
             b = cands[i]
             acc_b = acc | grow[b]
-            if left == 1:
-                if acc_b.bit_count() == target:
-                    hits.append(b_mask | 1 << b)
-                continue
-            # a plain loop: a comprehension costs a call per child
-            later = []
-            for c in cands[i + 1:]:
-                if (acc_b | grow[c]).bit_count() <= target:
-                    later.append(c)
-            if len(later) >= left - 1:
-                extend(acc_b, b_mask | 1 << b, later, left - 1)
+            if left > 1:
+                extend(acc_b, b_mask | 1 << b, cands, i + 1, left - 1)
+            elif acc_b.bit_count() == target:
+                hits.append(b_mask | 1 << b)
 
-    extend(0, 0, [b for b in range(p) if grow[b].bit_count() <= target], k)
+    def choose(allowed: int, start: int, left: int) -> None:
+        # left is how many elements of D are still to choose
+        if not left:
+            extend(0, 0, _mask_elements(allowed), 0, k)
+            return
+        for x in range(start, p - left + 1):
+            rest = allowed & ~bad[x]
+            if rest.bit_count() >= k:
+                choose(rest, x + 1, left - 1)
+
+    choose(full, 0, p - target)
     return hits
 
 
@@ -406,6 +450,9 @@ def _scan_extremal_pairs(
     prime: Prime, k: int, target: int, workers: int
 ) -> tuple[int, list[PairRecord]]:
     p = prime.value
+    if target > p:
+        # no B can reach the target: count the reps instead of growing them
+        return _orbit_count(p, k) * comb(p, k), []
     roots = _outer_roots(p, k)
     shards = _pool_size(workers, len(roots))
     arg_list = [(p, k, target, roots[s::shards]) for s in range(shards)]

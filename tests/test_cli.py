@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from sumsetlab.cli import main
+from sumsetlab import cli
+from sumsetlab.cli import MAX_MODULUS, main
 
 
 def test_sumset_human(capsys):
@@ -22,6 +24,30 @@ def test_sumset_at_a_large_prime(capsys):
     out = capsys.readouterr().out
     assert "A∔B (8): 1,2,3,4,5,6,7,8" in out
     assert "labels: diagonal, eh_plus_one, hamidoune_rodseth_applicable" in out
+
+
+@pytest.mark.parametrize("prime", ["2305843009213693951", "1000000000039"])
+def test_modulus_above_the_cap_exits_two_at_once(prime, capsys):
+    # checked before the primality test: trial division alone would take
+    # hours at 2^61 - 1, and a 10^12-bit set mask would exhaust memory
+    assert MAX_MODULUS == 2**31 - 1
+    started = time.perf_counter()
+    assert main(["sumset", "-p", prime, "-A", "0,1", "-B", "0,1"]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: modulus {prime} above the supported maximum 2147483647\n"
+    assert captured.out == ""
+
+
+def test_memory_error_exits_four(monkeypatch, capsys):
+    def exhausted(a, b):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sumset", exhausted)
+    assert main(["sumset", "-p", "7", "-A", "0,1", "-B", "0,1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "guard: out of memory\n"
+    assert "Traceback" not in captured.out
 
 
 def test_sumset_records(capsys):

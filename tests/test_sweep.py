@@ -36,6 +36,7 @@ from sumsetlab.sweep import (
     _image,
     _maps_onto,
     _nonempty_reps,
+    _orbit_count,
     _orbit_pair,
     _outer_roots,
     _outer_sets,
@@ -57,6 +58,12 @@ from oracles import (
 
 def _mask(elems):
     return sum(1 << e for e in elems)
+
+
+def _images_of(elems, p):
+    # the masks of lam*X for lam = 1..p-1, the kernel's input, built from
+    # the elements of X
+    return [_mask(lam * x % p for x in elems) for lam in range(1, p)]
 
 
 def _orbit_reps(p, k):
@@ -224,6 +231,28 @@ def test_unpruned_walk_matches_naive_double_loop():
             assert walked == burnside_orbit_count(p, k)
             orbits = {_brute_unordered_canonical(a, b, p) for a, b in naive}
             assert pairs == {(_mask(a), _mask(b)) for a, b in orbits}
+    # p = 11 near the top, where the complement walk chooses the missed set
+    # D of size p - target = 2, 1 or 0, or returns nothing (target p + 1);
+    # the naive loop runs over all mask pairs, with A+.B the union of
+    # A+.{b} over b in B, built for every mask B from B minus its top bit
+    p = 11
+    full = (1 << p) - 1
+    found = set()
+    for k in range(1, p + 1):
+        subsets = sorted(_mask(c) for c in itertools.combinations(range(p), k))
+        for a_mask in subsets:
+            a = _mask_elements(a_mask)
+            sums = [0]
+            for b in range(p):
+                single = _mask(brute_restricted(a, (b,), p))
+                sums += [s | single for s in sums]
+            sizes = [sums[b_mask].bit_count() for b_mask in subsets]
+            for target in range(p - 2, p + 2):
+                naive = [b_mask for b_mask, size in zip(subsets, sizes) if size == target]
+                assert sorted(_extremal_bs(a_mask, p, k, target, full)) == naive
+                if naive:
+                    found.add(target)
+    assert found == {p - 2, p - 1, p}
 
 
 def _orbit_pair_elements(a, b, p):
@@ -232,7 +261,7 @@ def _orbit_pair_elements(a, b, p):
     full = (1 << p) - 1
     lam, mu = oracles._least_map(_mask(a), p)
     rep = _image(_mask(a), lam, mu, p)
-    stab = _maps_onto(_mask_elements(rep), rep, p, full)
+    stab = _maps_onto(_images_of(_mask_elements(rep), p), rep, p, full)
     pair = _orbit_pair(rep, _image(_mask(b), lam, mu, p), stab, p, full)
     return pair and (_mask_elements(pair[0]), _mask_elements(pair[1]))
 
@@ -298,7 +327,7 @@ def _check_maps_onto(a, b, p):
         for lam in range(1, p)
         for mu in range(p)
     }
-    got = _maps_onto(tuple(b), _mask(a), p, (1 << p) - 1)
+    got = _maps_onto(_images_of(b, p), _mask(a), p, (1 << p) - 1)
     if any(image < list(a) for image in images.values()):
         assert got is None
     else:
@@ -466,6 +495,34 @@ def test_report_pins(monkeypatch):
         assert op.args == ("bounds", "-p", str(p))
         for workers in (1, 2):
             assert _sha256(verify_bounds(p, workers=workers)) == op.pin.sha256, (p, workers)
+
+
+# report sha256 of sweeps whose target exceeds p, computed while every
+# shard still grew the reps of size k to count them
+COUNTED_PINS = {
+    ("main", 11, 8): "b4396c4f6b08b3406e7ad08c1bac9f75c8cbf59b30d786ff05a83a57b6fdbb98",
+    ("main", 13, 9): "6fe4d8dc5098982907e57d4820999cc82059e0cfcb50edf5cea0f3f0b15abc34",
+    ("karolyi", 11, 8): "cf00c25b40916602795ab935c846517de826c184b5b838e5fc1395fffdbb6066",
+}
+
+
+def test_target_above_p_counts_orbits_without_shards(monkeypatch):
+    # the closed Burnside count against the oracle's cycle-by-cycle count
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for k in range(1, p + 1):
+            assert _orbit_count(p, k) == burnside_orbit_count(p, k), (p, k)
+
+    def no_shards(worker, arg_list, processes):
+        raise AssertionError("a shard was started")
+
+    monkeypatch.setattr(sweep, "_run_shards", no_shards)
+    verify = {"main": verify_main_theorem, "karolyi": verify_karolyi_inverse}
+    for (kind, p, k), pin in COUNTED_PINS.items():
+        for workers in (1, 2):
+            assert _sha256(verify[kind](p, k, workers=workers)) == pin, (kind, p, k, workers)
+    report = verify_main_theorem(23, 13, ceiling=23)
+    assert report.pairs_scanned == burnside_orbit_count(23, 13) * comb(23, 13)
+    assert report.extremal_pairs == [] and report.passed
 
 
 def test_extremal_scan_matches_brute_force():
