@@ -14,8 +14,8 @@ compared, so most images are settled by a few shifts of one mask:
   largest element is dropped, so non-representatives are pruned with their
   subtrees). A child's images are its parent's with one bit ORed into each,
   and the kernel run on A onto itself is the rep test; the maps it finds
-  are A's stabiliser. The theorem sweeps take the reps of size k, the
-  bounds sweep those of every size;
+  are A's stabiliser. One walk meets every rep of every size once: the
+  theorem sweeps keep the reps of size k, the bounds sweep all of them;
 - for each A the theorem sweeps walk B inside the complement of A+.B. By
   the complement step of Vosper's theorem, x misses A+.B iff B avoids every
   b with x in (A minus b) + b, so the p - target missed residues are chosen
@@ -31,9 +31,9 @@ compared, so most images are settled by a few shifts of one mask:
   instead expanded in the parent to its image under every common affine
   map, which keeps both bounds, as the bounds report lists every pair.
 
-All three sweeps deal work to shards by stride: the theorem sweeps deal the
-rep prefixes of size k-3 to one shard per process, the bounds sweep its
-reps to 16 shards per process, which free processes take in turn. The
+All three sweeps deal work by one rule: their units (the rep prefixes of
+size k-3 for the theorem sweeps, the reps for the bounds sweep) go by stride
+to up to 16 shards per process, which free processes take in turn. The
 parent takes the union of the shards' results, so reports are
 byte-identical for any worker count. A theorem target above p needs no
 shard: no pair reaches it, and the reps are counted in closed form.
@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from math import comb, gcd
 from operator import or_
@@ -85,37 +86,40 @@ DEFAULT_THEOREM_CEILING = 19
 # carry very uneven work
 _ROOT_LAG = 3
 
-# the bounds sweep deals its reps to this many shards per process; a free
+# every sweep deals its units to this many shards per process; a free
 # process takes the next shard, so a CPU slowed by other load holds up only
 # the shards it runs, not a fixed half of the sweep
-_BOUNDS_SHARDS_PER_PROCESS = 16
+_SHARDS_PER_PROCESS = 16
 
 
 def _unrank_combination(n: int, k: int, idx: int) -> list[int]:
-    # lexicographic unranking in the combinatorial number system
+    # lexicographic unranking in the combinatorial number system. With r
+    # elements still to follow, sum_{u=x..v} C(n-1-u, r) combinations go
+    # on with an element in x..v, which is C(n-x, r+1) - C(n-1-v, r+1) (the
+    # hockey stick), so each element is found by bisection on v
     combo = []
     x = 0
-    for pos in range(k):
-        v = x
-        while True:
-            cnt = comb(n - 1 - v, k - pos - 1)
-            if idx < cnt:
-                break
-            idx -= cnt
-            v += 1
+    for r in range(k - 1, -1, -1):
+        total = comb(n - x, r + 1)
+        v = x + bisect_right(range(x, n - r), idx - total, key=lambda u: -comb(n - 1 - u, r + 1))
+        idx -= total - comb(n - v, r + 1)
         combo.append(v)
         x = v + 1
     return combo
+
+
+def _check_subset_size(n: int, k: int) -> None:
+    if k < 1:
+        raise InvalidArgument(f"subset size must be positive, got {k}")
+    if k > n:
+        raise KTooLarge(f"no {k}-subsets of a {n}-element field")
 
 
 def enumerate_k_subsets(p: Prime | int, k: int, start: int = 0) -> Iterator[FpSet]:
     """All C(p, k) subsets in lexicographic order, restartable from an index."""
     prime = as_prime(p)
     n = prime.value
-    if k < 1:
-        raise InvalidArgument(f"subset size must be positive, got {k}")
-    if k > n:
-        raise KTooLarge(f"no {k}-subsets of a {n}-element field")
+    _check_subset_size(n, k)
     if start < 0:
         raise InvalidArgument(f"start index must be nonnegative, got {start}")
     if start >= comb(n, k):
@@ -324,25 +328,25 @@ def _maps_onto(images: list[int], ref: int, p: int, full: int) -> list[tuple[int
 def _outer_sets(
     root: int, size: int, p: int, k: int, images: list[int] | None = None
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    # the orbit reps of the given size grown from root by elements above its
-    # maximum that can still reach k elements, each with its stabiliser
-    # (orderly generation: a rep stays a rep when its largest element is
-    # dropped, so no rep lies above a non-rep). images are root's images
+    # every orbit rep grown from root, depth-first up to the given size, by
+    # elements above its maximum that can still reach k elements (any
+    # element for k = 1), each with its stabiliser. Orderly generation: a
+    # rep stays a rep when its largest element is dropped, so no rep lies
+    # above a non-rep, and each rep is met once. images are root's images
     # lam*root; a child's are its parent's with one bit ORed into each
     if images is None:
         images = _images(root, p)
     have = root.bit_count() + 1
     full = (1 << p) - 1
     rows = _dilations(p)
-    for e in range(root.bit_length(), p - k + have):
+    for e in range(root.bit_length(), min(p, p - k + have)):
         mask = root | 1 << e
         child = list(map(or_, images, rows[e]))
         stab = _maps_onto(child, mask, p, full)
         if stab is None:
             continue
-        if have == size:
-            yield mask, stab
-        else:
+        yield mask, stab
+        if have < size:
             yield from _outer_sets(mask, size, p, k, child)
 
 
@@ -421,6 +425,8 @@ def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
     pairs = set()
     for root in roots:
         for a_mask, stab in _outer_sets(root, k, p, k):
+            if a_mask.bit_count() < k:
+                continue
             walked += 1
             for b_mask in _extremal_bs(a_mask, p, k, target, full):
                 pair = _orbit_pair(a_mask, b_mask, stab, p, full)
@@ -429,7 +435,17 @@ def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
     return walked, pairs
 
 
-def _run_shards(worker, arg_list, processes):
+def _deal(units: list, processes: int) -> list[list]:
+    # the units dealt by stride to up to _SHARDS_PER_PROCESS shards per process
+    shards = min(len(units), processes * _SHARDS_PER_PROCESS)
+    return [units[s::shards] for s in range(shards)]
+
+
+def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
+    # worker's results on (*head, shard) for every shard of the units, in
+    # shard order, on a pool of up to workers processes
+    processes = _pool_size(workers, len(units))
+    arg_list = [(*head, shard) for shard in _deal(units, processes)]
     if processes <= 1:
         return [worker(args) for args in arg_list]
     # imported here: it pulls in multiprocessing, which only a pool needs
@@ -443,7 +459,8 @@ def _outer_roots(p: int, k: int) -> list[int]:
     # the prefixes that shards grow into orbit reps, in lex order
     if k <= _ROOT_LAG:
         return [0]
-    return [mask for mask, _ in _outer_sets(0, k - _ROOT_LAG, p, k)]
+    size = k - _ROOT_LAG
+    return [mask for mask, _ in _outer_sets(0, size, p, k) if mask.bit_count() == size]
 
 
 def _scan_extremal_pairs(
@@ -453,10 +470,7 @@ def _scan_extremal_pairs(
     if target > p:
         # no B can reach the target: count the reps instead of growing them
         return _orbit_count(p, k) * comb(p, k), []
-    roots = _outer_roots(p, k)
-    shards = _pool_size(workers, len(roots))
-    arg_list = [(p, k, target, roots[s::shards]) for s in range(shards)]
-    results = _run_shards(_extremal_shard, arg_list, shards)
+    results = _run_shards(_extremal_shard, (p, k, target), _outer_roots(p, k), workers)
 
     # logical count: every walked rep A is paired with all C(p, k) sets B
     scanned = sum(r[0] for r in results) * comb(p, k)
@@ -482,10 +496,7 @@ def _theorem_target(
 ) -> int:
     # validate a theorem sweep's arguments and resolve its target size; the
     # size 0 is attainable (k = 1, A = B) and is main's default there
-    if k < 1:
-        raise InvalidArgument(f"subset size must be positive, got {k}")
-    if k > prime.value:
-        raise KTooLarge(f"no {k}-subsets of a {prime.value}-element field")
+    _check_subset_size(prime.value, k)
     if target is not None and not 0 <= target <= prime.value:
         raise InvalidArgument(f"target size must lie in 0..{prime.value}, got {target}")
     _check_ceiling(prime, ceiling)
@@ -583,11 +594,6 @@ def verify_karolyi_inverse(
     )
 
 
-def _nonempty_reps(p: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    # the affine-orbit reps of every size 1..p, each with its stabiliser
-    return [rep for size in range(1, p + 1) for rep in _outer_sets(0, size, p, size)]
-
-
 def _rep_violations(a_mask: int, p: int, full: int) -> list[tuple[int, int, str, int, int]]:
     # every B of size at most |A| breaking a bound against A, walking B in
     # increasing order; each step ORs A+b into A+B and (A minus b)+b into
@@ -661,14 +667,11 @@ def verify_bounds(
     prime = as_prime(p)
     _check_ceiling(prime, ceiling)
     n = prime.value
-    reps = _nonempty_reps(n)
+    reps = list(_outer_sets(0, n, n, 1))
     # logical count: |orbit(A)| = n * |units| / |stab(A)| sets against each B
     scanned = ((1 << n) - 1) * sum(n * len(_units(n)) // len(stab) for _, stab in reps)
     masks = [mask for mask, _ in reps]
-    processes = _pool_size(workers, len(masks))
-    shards = min(len(masks), processes * _BOUNDS_SHARDS_PER_PROCESS)
-    arg_list = [(n, masks[s::shards]) for s in range(shards)]
-    found = [v for shard in _run_shards(_bounds_shard, arg_list, processes) for v in shard]
+    found = [v for shard in _run_shards(_bounds_shard, (n,), masks, workers) for v in shard]
     violations = [
         {
             "a": FpSet.from_mask(prime, a_mask).literal(),

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -329,6 +330,36 @@ def test_enumerate_stream(capsys):
     assert lines == ["4,6", "5,6"]
     assert main(["enumerate", "-p", "7", "-k", "2", "--limit", "0"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_enumerate_last_subset_at_the_largest_modulus(k, capsys):
+    # unranking bisects each element, so --start costs no walk over p
+    from math import comb
+
+    started = time.perf_counter()
+    argv = ["enumerate", "-p", str(MAX_MODULUS), "-k", str(k)]
+    assert main([*argv, "--start", str(comb(MAX_MODULUS, k) - 1)]) == 0
+    assert time.perf_counter() - started < 1
+    last = ",".join(str(x) for x in range(MAX_MODULUS - k, MAX_MODULUS))
+    assert capsys.readouterr().out == last + "\n"
+
+
+def _readme_commands():
+    # the sumsetlab lines of the README's "Command line" block, comments dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sumsetlab ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_console_entry_subprocess():

@@ -31,16 +31,17 @@ from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
     _bounds_shard,
     _converse_exceptions,
+    _deal,
     _extremal_bs,
     _extremal_shard,
     _image,
     _maps_onto,
-    _nonempty_reps,
     _orbit_count,
     _orbit_pair,
     _outer_roots,
     _outer_sets,
     _pool_size,
+    _unrank_combination,
     _units,
     _violating_pairs,
 )
@@ -66,8 +67,18 @@ def _images_of(elems, p):
     return [_mask(lam * x % p for x in elems) for lam in range(1, p)]
 
 
+def _reps_of_size(root, p, k):
+    # the reps of size k grown from root, each with its stabiliser
+    return [(m, stab) for m, stab in _outer_sets(root, k, p, k) if m.bit_count() == k]
+
+
 def _orbit_reps(p, k):
-    return [_mask_elements(m) for m, _ in _outer_sets(0, k, p, k)]
+    return [_mask_elements(m) for m, _ in _reps_of_size(0, p, k)]
+
+
+def _every_rep(n):
+    # the reps of every size 1..n from one walk, as the bounds sweep takes them
+    return list(_outer_sets(0, n, n, 1))
 
 
 def test_enumerate_counts_and_order():
@@ -84,6 +95,13 @@ def test_enumerate_restart_index():
     for start in (0, 1, 17, 100, len(full) - 1, len(full), len(full) + 5):
         tail = [s.elements for s in enumerate_k_subsets(11, 3, start=start)]
         assert tail == full[start:]
+
+
+def test_unranking_matches_combinations_order():
+    for n in range(1, 12):
+        for k in range(1, n + 1):
+            for idx, combo in enumerate(itertools.combinations(range(n), k)):
+                assert tuple(_unrank_combination(n, k, idx)) == combo
 
 
 def test_enumerate_guards():
@@ -188,21 +206,38 @@ def test_orbit_reps_are_lex_least_images():
             assert set(reps) == brute_orbit_reps(p, k)
 
 
-def test_strided_shards_partition_outer_sets():
+def test_strided_shards_partition_outer_sets(monkeypatch):
+    # one shard per process gives the strides 1, 2, 3 and 7
+    monkeypatch.setattr(sweep, "_SHARDS_PER_PROCESS", 1)
     for p, k in ((13, 5), (13, 7), (11, 6)):
         roots = _outer_roots(p, k)
-        whole = list(_outer_sets(0, k, p, k))
-        for shards in (1, 2, 3, 7):
+        whole = _reps_of_size(0, p, k)
+        for processes in (1, 2, 3, 7):
             parts = [
                 a
-                for s in range(shards)
-                for root in roots[s::shards]
-                for a in _outer_sets(root, k, p, k)
+                for shard in _deal(roots, processes)
+                for root in shard
+                for a in _reps_of_size(root, p, k)
             ]
             assert sorted(parts) == sorted(whole)
             assert len(parts) == len({mask for mask, _ in parts})
-    # more shards than prefixes: the surplus shards get nothing to do
+    # more processes than prefixes: no shard is dealt nothing
     assert len(_outer_roots(13, 5)) < 7
+    assert all(_deal(_outer_roots(13, 5), 7))
+
+
+def test_deal_puts_every_unit_in_one_shard():
+    per_process = sweep._SHARDS_PER_PROCESS
+    assert per_process == 16
+    for units in (5, 31, 32, 33, 200):
+        for processes in (1, 2, 3):
+            shards = _deal(list(range(units)), processes)
+            assert len(shards) == min(units, processes * per_process)
+            assert sorted(u for shard in shards for u in shard) == list(range(units))
+            assert all(shards)
+    # fewer units than shards: one unit each; more: dealt by stride
+    assert _deal([7, 8, 9], 2) == [[7], [8], [9]]
+    assert _deal(list(range(40)), 2)[0] == [0, 32]
 
 
 def _brute_unordered_canonical(a, b, p):
@@ -308,7 +343,7 @@ def test_stabiliser_fixes_the_rep():
     # the stabiliser the orderly generator yields with each rep
     for p in (5, 7, 11):
         for k in range(1, p + 1):
-            for rep_mask, stab in _outer_sets(0, k, p, k):
+            for rep_mask, stab in _reps_of_size(0, p, k):
                 rep = _mask_elements(rep_mask)
                 maps = {
                     (lam, mu)
@@ -427,7 +462,7 @@ def test_theorem_ceiling_guard():
             verify_bounds(5, ceiling=ceiling)
 
 
-def test_reports_deterministic_across_workers():
+def test_reports_deterministic_across_workers(monkeypatch):
     base = report_to_json(verify_main_theorem(11, 4, workers=1))
     assert report_to_json(verify_main_theorem(11, 4, workers=3)) == base
     assert report_to_json(verify_main_theorem(11, 4, workers=8)) == base
@@ -438,12 +473,17 @@ def test_reports_deterministic_across_workers():
     assert report_to_json(verify_main_theorem(13, 7, workers=2)) == report_to_json(single)
     roots = _outer_roots(13, 7)
     dealt = {}
-    for shards in (1, 2, 3, 7):
-        results = [_extremal_shard((13, 7, 12, roots[s::shards])) for s in range(shards)]
-        dealt[shards] = (sum(r[0] for r in results), set().union(*(r[1] for r in results)))
-    assert dealt[1][0] == burnside_orbit_count(13, 7)
-    assert len(dealt[1][1]) == 43
-    assert all(dealt[shards] == dealt[1] for shards in dealt)
+    for per_process in (1, 16):
+        monkeypatch.setattr(sweep, "_SHARDS_PER_PROCESS", per_process)
+        for processes in (1, 2, 3, 7):
+            results = [_extremal_shard((13, 7, 12, shard)) for shard in _deal(roots, processes)]
+            dealt[per_process, processes] = (
+                sum(r[0] for r in results),
+                set().union(*(r[1] for r in results)),
+            )
+    assert dealt[1, 1][0] == burnside_orbit_count(13, 7)
+    assert len(dealt[1, 1][1]) == 43
+    assert all(dealt[key] == dealt[1, 1] for key in dealt)
     # each shard returns its own set of orbits; the parent takes their union
     single = verify_karolyi_inverse(11, 7, workers=1)
     assert single.extremal_count == 518
@@ -512,7 +552,7 @@ def test_target_above_p_counts_orbits_without_shards(monkeypatch):
         for k in range(1, p + 1):
             assert _orbit_count(p, k) == burnside_orbit_count(p, k), (p, k)
 
-    def no_shards(worker, arg_list, processes):
+    def no_shards(worker, head, units, workers):
         raise AssertionError("a shard was started")
 
     monkeypatch.setattr(sweep, "_run_shards", no_shards)
@@ -600,7 +640,7 @@ def test_bounds_sweep_small_primes():
             assert len(brute_restricted(a, b, 5)) >= min(5, len(a) + len(b) - 3)
 
 
-def test_bounds_shards_find_every_violation():
+def test_bounds_shards_find_every_violation(monkeypatch):
     # Z/nZ with n composite breaks both bounds (e.g. {0, 2} + {0, 2} in
     # Z/4Z), so the reduced path is checked against a brute loop over
     # unordered mask pairs, for several stride dealings: the shards walk B
@@ -620,13 +660,15 @@ def test_bounds_shards_find_every_violation():
                     if size < need:
                         expected.add((a_mask, b_mask, bound, size, need))
         assert len(expected) == count
-        reps = [mask for mask, _ in _nonempty_reps(n)]
-        for shards in (1, 2, 3, 7):
-            results = [_bounds_shard((n, reps[s::shards])) for s in range(shards)]
-            found = [v for violations in results for v in violations]
-            assert len(found) == len(set(found))
-            assert {v[0] for v in found} <= set(reps)
-            assert _violating_pairs(found, n) == expected
+        reps = [mask for mask, _ in _every_rep(n)]
+        for per_process in (1, 16):
+            monkeypatch.setattr(sweep, "_SHARDS_PER_PROCESS", per_process)
+            for processes in (1, 2, 3, 7):
+                results = [_bounds_shard((n, shard)) for shard in _deal(reps, processes)]
+                found = [v for violations in results for v in violations]
+                assert len(found) == len(set(found))
+                assert {v[0] for v in found} <= set(reps)
+                assert _violating_pairs(found, n) == expected
 
 
 def test_bounds_violations_are_closed_under_unit_maps():
@@ -637,7 +679,7 @@ def test_bounds_violations_are_closed_under_unit_maps():
     # bound, and the list of unordered pairs is closed under x -> lam*x + mu
     n = 10
     units = [lam for lam in range(1, n) if gcd(lam, n) == 1]
-    reps = [mask for mask, _ in _nonempty_reps(n)]
+    reps = [mask for mask, _ in _every_rep(n)]
     pairs = _violating_pairs(_bounds_shard((n, reps)), n)
     assert len(pairs) == 621
     for a_mask, b_mask, bound, size, need in pairs:
@@ -662,7 +704,7 @@ def test_orbit_sizes_of_every_rep_sum_to_the_nonempty_sets():
         units = [lam for lam in range(1, n) if gcd(lam, n) == 1]
         assert list(_units(n)) == units
         group = n * len(units)
-        reps = _nonempty_reps(n)
+        reps = _every_rep(n)
         assert all(group % len(stab) == 0 for _, stab in reps)
         assert sum(group // len(stab) for _, stab in reps) == 2 ** n - 1
     # at composite n each rep is the lex-least image of its orbit under the
@@ -679,11 +721,12 @@ def test_orbit_sizes_of_every_rep_sum_to_the_nonempty_sets():
             for k in range(1, n + 1)
             for x in itertools.combinations(range(n), k)
         }
-        reps = [_mask_elements(mask) for mask, _ in _nonempty_reps(n)]
-        assert reps == sorted(least, key=lambda x: (len(x), x))
-    assert len(_nonempty_reps(11)) == 29 and len(_nonempty_reps(13)) == 73
+        reps = [_mask_elements(mask) for mask, _ in _every_rep(n)]
+        assert len(reps) == len(set(reps))
+        assert sorted(reps, key=lambda x: (len(x), x)) == sorted(least, key=lambda x: (len(x), x))
+    assert len(_every_rep(11)) == 29 and len(_every_rep(13)) == 73
     for p in (5, 7, 11, 13):
-        assert len(_nonempty_reps(p)) == sum(burnside_orbit_count(p, k) for k in range(1, p + 1))
+        assert len(_every_rep(p)) == sum(burnside_orbit_count(p, k) for k in range(1, p + 1))
 
 
 def test_bounds_ceiling_guard():
