@@ -61,6 +61,36 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _progressions(mask: int, p: int) -> tuple[tuple[int, int], ...]:
+    # every (start, diff) with diff != 0 generating the set, if it has at
+    # least 2 elements, in increasing order. A generating diff is
+    # +-(x - e0) for e0 the least element and some other x. As x -> x + diff
+    # is one cycle through Z/pZ, it generates a proper subset S iff exactly
+    # one element of S, the start, is not in S + diff: |S & (S + diff)| = |S| - 1
+    elements = _mask_elements(mask)
+    m = len(elements)
+    if m == p:
+        return tuple((a, d) for a in range(p) for d in range(1, p))
+    full = (1 << p) - 1
+    e0 = elements[0]
+    found = []
+    for d in {d % p for x in elements[1:] for d in (x - e0, e0 - x)}:
+        shifted = _rotate(mask, d, p, full)
+        if (mask & shifted).bit_count() == m - 1:
+            found.append(((mask & ~shifted).bit_length() - 1, d))
+    return tuple(sorted(found))
+
+
+def _least_progression(
+    mask: int, progressions: tuple[tuple[int, int], ...]
+) -> tuple[int, int] | None:
+    # the (start, diff) a progression witness reports: a singleton {e} is
+    # one with diff 1, a larger set takes its least generator, if it has one
+    if not mask & (mask - 1):
+        return mask.bit_length() - 1, 1
+    return progressions[0] if progressions else None
+
+
 @dataclass(frozen=True)
 class FpSet:
     """A set of residues mod p, stored strictly increasing."""
@@ -97,24 +127,7 @@ class FpSet:
 
     @functools.cached_property
     def _ap_candidates(self) -> tuple[tuple[int, int], ...]:
-        # every (start, diff) with diff != 0 generating a set of size >= 2, in
-        # increasing order. A generating diff is +-(x - e0) for e0 the least
-        # element and some other x. As x -> x + diff is one cycle through
-        # Z/pZ, it generates a proper subset S iff exactly one element of S,
-        # the start, is not in S + diff: |S & (S + diff)| = |S| - 1
-        p = self.modulus.value
-        m = len(self.elements)
-        if m == p:
-            return tuple((a, d) for a in range(p) for d in range(1, p))
-        full = (1 << p) - 1
-        s = self.mask
-        e0 = self.elements[0]
-        found = []
-        for d in {d % p for x in self.elements[1:] for d in (x - e0, e0 - x)}:
-            shifted = _rotate(s, d, p, full)
-            if (s & shifted).bit_count() == m - 1:
-                found.append(((s & ~shifted).bit_length() - 1, d))
-        return tuple(sorted(found))
+        return _progressions(self.mask, self.modulus.value)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -191,14 +204,8 @@ def is_arithmetic_progression(s: FpSet) -> ApWitness | None:
     """
     if not s.elements:
         raise EmptySet("empty set has no progression structure")
-    prime = s.modulus
-    m = len(s)
-    if m == 1:
-        return ApWitness(s.elements[0], 1, 1, prime)
-    if not s._ap_candidates:
-        return None
-    start, diff = s._ap_candidates[0]
-    return ApWitness(start, diff, m, prime)
+    found = _least_progression(s.mask, s._ap_candidates)
+    return None if found is None else ApWitness(*found, len(s), s.modulus)
 
 
 @dataclass(frozen=True)
@@ -251,14 +258,46 @@ class PairClassification:
     labels: frozenset[str]
 
 
-def _share_ap_difference(a: FpSet, b: FpSet) -> bool:
-    # whether a and b are progressions with a common difference; a
-    # singleton is one with every difference
-    if len(a) == 1:
-        return len(b) == 1 or bool(b._ap_candidates)
-    if len(b) == 1:
-        return bool(a._ap_candidates)
-    return not {d for _, d in a._ap_candidates}.isdisjoint(d for _, d in b._ap_candidates)
+def _classify_masks(
+    a: int, b: int, p: int, progressions_a: tuple, progressions_b: tuple
+) -> tuple[int, int, tuple[str, ...]]:
+    # |A+B|, |A+.B| and the sorted labels of two nonempty sets, given as
+    # masks with their progression generators (_progressions)
+    full = (1 << p) - 1
+    k, ell = a.bit_count(), b.bit_count()
+    s = r = 0
+    for e in _mask_elements(a):
+        # e + (B minus e) is e + B less 2e when e is in B
+        turned = _rotate(b, e, p, full)
+        s |= turned
+        r |= turned & ~(1 << 2 * e % p) if b >> e & 1 else turned
+    s_size, r_size = s.bit_count(), r.bit_count()
+    labels = []
+    if s_size == k + ell - 1:
+        labels.append(CAUCHY_DAVENPORT_TIGHT)
+    if min(k, ell) == 1:
+        labels.append(VOSPER_SINGLETON)
+    if s_size == p - 1:
+        # the single missing element c determines the complement candidate
+        c = (full ^ s).bit_length() - 1
+        if b == full ^ sum(1 << (c - x) % p for x in _mask_elements(a)):
+            labels.append(VOSPER_COMPLEMENT)
+    # progressions with a common difference; a singleton has every one
+    if k == 1 or ell == 1:
+        shared = (k == 1 or bool(progressions_a)) and (ell == 1 or bool(progressions_b))
+    else:
+        shared = not {d for _, d in progressions_a}.isdisjoint(d for _, d in progressions_b)
+    if shared:
+        labels.append(VOSPER_AP)
+    if k >= 3 and ell >= 4 and s_size == k + ell and s_size <= p - 4:
+        labels.append(HAMIDOUNE_RODSETH)
+    if r_size == k + ell - 3:
+        labels.append(EH_TIGHT)
+    if r_size == k + ell - 2:
+        labels.append(EH_PLUS_ONE)
+    if a == b:
+        labels.append(DIAGONAL)
+    return s_size, r_size, tuple(sorted(labels))
 
 
 def classify_pair(a: FpSet, b: FpSet) -> PairClassification:
@@ -273,29 +312,7 @@ def classify_pair(a: FpSet, b: FpSet) -> PairClassification:
     prime = _require_same_modulus(a, b)
     if not a.elements or not b.elements:
         raise EmptySet("classification requires nonempty sets")
-    p = prime.value
-    k, ell = len(a), len(b)
-    s = sumset(a, b)
-    r = restricted_sumset(a, b)
-    labels: set[str] = set()
-    if len(s) == k + ell - 1:
-        labels.add(CAUCHY_DAVENPORT_TIGHT)
-    if min(k, ell) == 1:
-        labels.add(VOSPER_SINGLETON)
-    if len(s) == p - 1:
-        # the single missing element c determines the complement candidate
-        c = (((1 << p) - 1) ^ s.mask).bit_length() - 1
-        image = {(c - x) % p for x in a.elements}
-        if set(b.elements) == set(range(p)) - image:
-            labels.add(VOSPER_COMPLEMENT)
-    if _share_ap_difference(a, b):
-        labels.add(VOSPER_AP)
-    if k >= 3 and ell >= 4 and len(s) == k + ell and len(s) <= p - 4:
-        labels.add(HAMIDOUNE_RODSETH)
-    if len(r) == k + ell - 3:
-        labels.add(EH_TIGHT)
-    if len(r) == k + ell - 2:
-        labels.add(EH_PLUS_ONE)
-    if a == b:
-        labels.add(DIAGONAL)
-    return PairClassification(k, ell, len(s), len(r), frozenset(labels))
+    s_size, r_size, labels = _classify_masks(
+        a.mask, b.mask, prime.value, a._ap_candidates, b._ap_candidates
+    )
+    return PairClassification(len(a), len(b), s_size, r_size, frozenset(labels))

@@ -27,16 +27,21 @@ compared, so most images are settled by a few shifts of one mask:
 - each theorem hit (A, B) is reduced against the representative A by the
   kernel run on B onto A: it is dropped when an image of B is lex-below A,
   since that orbit is found again from the representative of B, and
-  otherwise kept as one canonical pair. A bounds violation (A, B) is
-  instead expanded in the parent to its image under every common affine
-  map, which keeps both bounds, as the bounds report lists every pair.
+  otherwise kept as one canonical pair, whose first set is A. The shard
+  classifies each pair it keeps on masks and returns the fields of its
+  record. A bounds violation (A, B) is instead expanded in the parent to
+  its image under every common affine map, which keeps both bounds, as the
+  bounds report lists every pair.
 
 All three sweeps deal work by one rule: their units (the rep prefixes of
 size k-3 for the theorem sweeps, the reps for the bounds sweep) go by stride
-to up to 16 shards per process, which free processes take in turn. The
-parent takes the union of the shards' results, so reports are
-byte-identical for any worker count. A theorem target above p needs no
-shard: no pair reaches it, and the reps are counted in closed form.
+to up to 16 shards per process, which free processes take in turn. Each
+canonical pair is kept by the one shard that walks its first set, so the
+parent only merges and sorts the shards' results, and reports are
+byte-identical for any worker count. The report's text for each pair record
+is built once, from a fixed template, also when the pair is listed twice. A
+theorem target above p needs no shard: no pair reaches it, and the reps are
+counted in closed form.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import json
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii as _json_string
 from math import comb, gcd
 from operator import or_
 from typing import Iterator
@@ -60,7 +66,10 @@ from .sets import (
     classify_pair,
     is_arithmetic_progression,
     restricted_sumset,
+    _classify_masks,
+    _least_progression,
     _mask_elements,
+    _progressions,
     _rotate,
 )
 
@@ -215,8 +224,52 @@ class SweepReport:
         return self.failure_count == 0 or not self.expectation_checked
 
 
+# one pair record as json.dumps(record.to_dict(), indent=2) writes it inside
+# a report's pair list
+_RECORD_JSON = """    {
+      "a": %s,
+      "b": %s,
+      "k": %d,
+      "restricted_size": %d,
+      "labels": %s,
+      "sets_equal": %s,
+      "ap_witness": %s
+    }"""
+_WITNESS_JSON = """{
+        "start": %d,
+        "diff": %d,
+        "length": %d
+      }"""
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    # a list as json.dumps(indent=2) writes it, its items written already
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _record_json(r: PairRecord) -> str:
+    w = r.ap_witness
+    return _RECORD_JSON % (
+        _json_string(r.a.literal()),
+        _json_string(r.b.literal()),
+        r.k,
+        r.restricted_size,
+        _json_list(["        " + _json_string(label) for label in r.labels], "      "),
+        "true" if r.sets_equal else "false",
+        "null" if w is None else _WITNESS_JSON % (w.start, w.diff, w.length),
+    )
+
+
 def report_to_json(report: SweepReport) -> str:
-    """Stable machine-readable document; identical sweeps diff clean."""
+    """Stable machine-readable document; identical sweeps diff clean.
+
+    The text is json.dumps(doc, indent=2) of the report's fields. Only the
+    header goes through json.dumps, as its encoder runs in pure Python
+    whenever it indents; each pair record is written once from a fixed
+    template, also when it is listed twice.
+    """
     doc = {
         "kind": report.kind,
         "p": report.p,
@@ -227,13 +280,27 @@ def report_to_json(report: SweepReport) -> str:
         "hypothesis_flags": {k: report.hypothesis_flags[k] for k in sorted(report.hypothesis_flags)},
         "expectation_checked": report.expectation_checked,
         "extremal_pair_count": len(report.extremal_pairs),
-        "extremal_pairs": [r.to_dict() for r in report.extremal_pairs],
+        "extremal_pairs": [],
         "counterexample_count": len(report.counterexamples),
-        "counterexamples": [r.to_dict() for r in report.counterexamples],
+        "counterexamples": [],
         "violation_count": len(report.violations),
         "violations": report.violations,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2)
+    written = {}
+    for key, records in (
+        ("extremal_pairs", report.extremal_pairs),
+        ("counterexamples", report.counterexamples),
+    ):
+        items = []
+        for r in records:
+            if id(r) not in written:
+                written[id(r)] = _record_json(r)
+            items.append(written[id(r)])
+        # only a top-level key starts a line after two spaces, as no
+        # encoded string holds a newline
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": ' + _json_list(items, "  "), 1)
+    return text + "\n"
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -278,6 +345,12 @@ def _dilations(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 << lam * e % p for lam in _units(p)) for e in range(p))
 
 
+@functools.cache
+def _unit_index(n: int) -> dict[int, int]:
+    # the position of each multiplier in _units(n), where _images puts lam*X
+    return {lam: i for i, lam in enumerate(_units(n))}
+
+
 def _images(mask: int, p: int) -> list[int]:
     # the masks lam*X for the multipliers lam of _units(p), in order: the
     # bits of one image are distinct, so their sum is their OR
@@ -301,14 +374,17 @@ def _maps_onto(images: list[int], ref: int, p: int, full: int) -> list[tuple[int
     # prime at most one offset per multiplier can match a ref other than
     # the whole field (r0 = p, where every offset matches and none is below).
     r0 = ((ref + 1) & ~ref).bit_length() - 1
+    steps, run = [], 1
+    while run < r0:
+        step = min(run, r0 - run)
+        steps.append(step)
+        run += step
     maps = []
     for lam, image in zip(_units(p), images):
         image |= image << p  # x -> x - t is now a shift right by t
-        starts, run = image, 1
-        while run < r0:
-            step = min(run, r0 - run)
+        starts = image
+        for step in steps:
             starts &= starts >> step
-            run += step
         starts &= full
         if r0 < p and starts & image >> r0:
             return None
@@ -350,30 +426,28 @@ def _outer_sets(
             yield from _outer_sets(mask, size, p, k, child)
 
 
-def _image(mask: int, lam: int, mu: int, p: int) -> int:
-    # the mask of lam*X + mu
-    return sum(1 << (lam * e + mu) % p for e in _mask_elements(mask))
-
-
 def _orbit_pair(
-    a_mask: int, b_mask: int, stab: list[tuple[int, int]], p: int, full: int
-) -> tuple[int, int] | None:
+    a_images: list[int], b_mask: int, stab: list[tuple[int, int]], p: int, full: int
+) -> int | None:
     # the lex-least common image of a hit (A, B) over both orders, where A is
-    # an orbit rep with stabiliser stab; None when an image of B is below A,
-    # as then the orbit is found again from rep(B) (A+.B is symmetric).
-    # Otherwise the first set is A, and the second is the least image of B
-    # under stab or of A under the maps sending B onto A.
-    onto = _maps_onto(_images(b_mask, p), a_mask, p, full)
+    # an orbit rep with stabiliser stab and images a_images (A itself first,
+    # for lam = 1); None when an image of B is below A, as then the orbit is
+    # found again from rep(B) (A+.B is symmetric). Otherwise the first set
+    # is A, and the second, returned, is the least image of B under stab or
+    # of A under the maps sending B onto A: lam*X + mu is lam*X turned by mu
+    b_images = _images(b_mask, p)
+    onto = _maps_onto(b_images, a_images[0], p, full)
     if onto is None:
         return None
+    at = _unit_index(p)
     best = full + 1  # above every candidate: the first one wins
-    for x_mask, maps in ((b_mask, stab), (a_mask, onto)):
+    for images, maps in ((b_images, stab), (a_images, onto)):
         for lam, mu in maps:
-            y = _image(x_mask, lam, mu, p)
+            y = _rotate(images[at[lam]], mu, p, full)
             diff = y ^ best
             if diff & -diff & y:
                 best = y
-    return a_mask, best
+    return best
 
 
 def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[int]:
@@ -417,22 +491,37 @@ def _extremal_bs(a_mask: int, p: int, k: int, target: int, full: int) -> list[in
     return hits
 
 
-def _extremal_shard(args) -> tuple[int, set[tuple[int, int]]]:
-    # how many orbit reps the shard walked, and the canonical masks of its hits
+def _extremal_shard(args) -> tuple[int, list[tuple]]:
+    # how many orbit reps the shard walked, and the record fields of each
+    # canonical pair it keeps: (elements of A, of B, |A+.B|, sorted labels,
+    # A == B, A's least progression generator). A kept pair's first set is
+    # the rep it was walked from, so no other shard keeps it
     p, k, target, roots = args
     full = (1 << p) - 1
     walked = 0
-    pairs = set()
+    found = []
     for root in roots:
         for a_mask, stab in _outer_sets(root, k, p, k):
             if a_mask.bit_count() < k:
                 continue
             walked += 1
-            for b_mask in _extremal_bs(a_mask, p, k, target, full):
-                pair = _orbit_pair(a_mask, b_mask, stab, p, full)
-                if pair is not None:
-                    pairs.add(pair)
-    return walked, pairs
+            hits = _extremal_bs(a_mask, p, k, target, full)
+            if not hits:
+                continue
+            a_images = _images(a_mask, p)
+            kept = {_orbit_pair(a_images, b_mask, stab, p, full) for b_mask in hits}
+            kept.discard(None)
+            a_elements = _mask_elements(a_mask)
+            a_progressions = _progressions(a_mask, p)
+            a_witness = _least_progression(a_mask, a_progressions)
+            for b_mask in kept:
+                # with |A| = |B|, B's generators decide a label only if A has one
+                b_progressions = a_progressions and _progressions(b_mask, p)
+                _, size, labels = _classify_masks(a_mask, b_mask, p, a_progressions, b_progressions)
+                found.append(
+                    (a_elements, _mask_elements(b_mask), size, labels, a_mask == b_mask, a_witness)
+                )
+    return walked, found
 
 
 def _deal(units: list, processes: int) -> list[list]:
@@ -473,12 +562,21 @@ def _scan_extremal_pairs(
     results = _run_shards(_extremal_shard, (p, k, target), _outer_roots(p, k), workers)
 
     # logical count: every walked rep A is paired with all C(p, k) sets B
-    scanned = sum(r[0] for r in results) * comb(p, k)
-    orbits = sorted(
-        (_mask_elements(a_mask), _mask_elements(b_mask))
-        for a_mask, b_mask in set().union(*(r[1] for r in results))
-    )
-    records = [make_pair_record(FpSet(prime, a), FpSet(prime, b)) for a, b in orbits]
+    scanned = sum(walked for walked, _ in results) * comb(p, k)
+    # each pair is kept by one shard; (A, B) alone orders the rows
+    rows = sorted(row for _, found in results for row in found)
+    records = [
+        PairRecord(
+            FpSet(prime, a),
+            FpSet(prime, b),
+            k,
+            size,
+            labels,
+            equal,
+            None if witness is None else ApWitness(*witness, k, prime),
+        )
+        for a, b, size, labels, equal, witness in rows
+    ]
     return scanned, records
 
 
@@ -639,13 +737,15 @@ def _violating_pairs(
 ) -> set[tuple[int, int, str, int, int]]:
     # every image of each violation under the maps x -> lam*x + mu, as the
     # unordered pair (min mask, max mask); both bounds are invariant under a
-    # common affine map, so this is every violating pair
+    # common affine map, so this is every violating pair. lam*X + mu is
+    # lam*X turned by mu
+    full = (1 << p) - 1
     pairs = set()
     for a_mask, b_mask, bound, size, need in found:
-        for lam in _units(p):
+        for a_image, b_image in zip(_images(a_mask, p), _images(b_mask, p)):
             for mu in range(p):
-                x = _image(a_mask, lam, mu, p)
-                y = _image(b_mask, lam, mu, p)
+                x = _rotate(a_image, mu, p, full)
+                y = _rotate(b_image, mu, p, full)
                 pairs.add((min(x, y), max(x, y), bound, size, need))
     return pairs
 

@@ -5,7 +5,9 @@ Pascal rows built by addition, and full scans over every candidate, so the
 tests never share a code path with the library they check.
 """
 
+import functools
 import itertools
+import json
 
 
 def pascal_rows(n):
@@ -35,6 +37,44 @@ def brute_ap_witnesses(elems, p):
             if {(start + t * d) % p for t in range(m)} == target:
                 out.append((start, d))
     return out
+
+
+@functools.cache
+def _ap_differences(elems, p):
+    return {d for _, d in brute_ap_witnesses(elems, p)}
+
+
+def brute_classify(a, b, p):
+    """|A+B|, |A+.B| and the set of label names of a pair, by definition.
+
+    The sizes come from the brute sums, and the progression label from the
+    witnesses of both sets: a singleton {e} is {e + t*d : t < 1} for every d,
+    so it shares each difference of the other set.
+    """
+    a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
+    k, ell = len(a), len(b)
+    s = brute_sumset(a, b, p)
+    r = brute_restricted(a, b, p)
+    labels = set()
+    if len(s) == k + ell - 1:
+        labels.add("cauchy_davenport_tight")
+    if min(k, ell) == 1:
+        labels.add("vosper_case_singleton")
+    if len(s) == p - 1:
+        (c,) = set(range(p)) - s
+        if set(b) == set(range(p)) - {(c - x) % p for x in a}:
+            labels.add("vosper_case_complement")
+    if _ap_differences(a, p) & _ap_differences(b, p):
+        labels.add("vosper_case_ap")
+    if k >= 3 and ell >= 4 and len(s) == k + ell <= p - 4:
+        labels.add("hamidoune_rodseth_applicable")
+    if len(r) == k + ell - 3:
+        labels.add("eh_tight")
+    if len(r) == k + ell - 2:
+        labels.add("eh_plus_one")
+    if a == b:
+        labels.add("diagonal")
+    return len(s), len(r), labels
 
 
 def antisym_row(i):
@@ -264,3 +304,37 @@ def ap_converse_exceptions(p, k):
         for ap in progressions
         if len(brute_restricted(ap, ap, p)) != required
     })
+
+
+def reference_report_json(report):
+    """A sweep report as json.dumps(doc, indent=2) writes the dict of its fields."""
+
+    def record(r):
+        w = r.ap_witness
+        return {
+            "a": ",".join(str(e) for e in r.a.elements),
+            "b": ",".join(str(e) for e in r.b.elements),
+            "k": r.k,
+            "restricted_size": r.restricted_size,
+            "labels": list(r.labels),
+            "sets_equal": r.sets_equal,
+            "ap_witness": None if w is None else {"start": w.start, "diff": w.diff, "length": w.length},
+        }
+
+    doc = {
+        "kind": report.kind,
+        "p": report.p,
+        "k": report.k,
+        "target_size": report.target_size,
+        "pruned": report.pruned,
+        "pairs_scanned": report.pairs_scanned,
+        "hypothesis_flags": dict(sorted(report.hypothesis_flags.items())),
+        "expectation_checked": report.expectation_checked,
+        "extremal_pair_count": len(report.extremal_pairs),
+        "extremal_pairs": [record(r) for r in report.extremal_pairs],
+        "counterexample_count": len(report.counterexamples),
+        "counterexamples": [record(r) for r in report.counterexamples],
+        "violation_count": len(report.violations),
+        "violations": report.violations,
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -23,9 +23,18 @@ from sumsetlab.sets import (
     VOSPER_AP,
     VOSPER_COMPLEMENT,
     VOSPER_SINGLETON,
+    _classify_masks,
+    _least_progression,
+    _progressions,
 )
 
-from oracles import brute_ap_witnesses, brute_canonical_pair, brute_restricted, brute_sumset
+from oracles import (
+    brute_ap_witnesses,
+    brute_canonical_pair,
+    brute_classify,
+    brute_restricted,
+    brute_sumset,
+)
 
 P11 = Prime(11)
 P7 = Prime(7)
@@ -225,6 +234,52 @@ def test_classify_pair_complement_case():
     cls = classify_pair(a, b)
     assert cls.sumset_size == 6
     assert VOSPER_COMPLEMENT in cls.labels
+
+
+def _checked_progressions(elems, p):
+    # the mask generators of a set, checked against every witness
+    mask = sum(1 << e for e in elems)
+    progressions = _progressions(mask, p)
+    witnesses = brute_ap_witnesses(elems, p)
+    assert progressions == (() if len(elems) == 1 else tuple(sorted(witnesses)))
+    assert _least_progression(mask, progressions) == (min(witnesses) if witnesses else None)
+    return mask, progressions
+
+
+def _check_mask_classifier(a, b, p, sets):
+    for x in (a, b):
+        if x not in sets:
+            sets[x] = _checked_progressions(x, p)
+    (a_mask, a_progressions), (b_mask, b_progressions) = sets[a], sets[b]
+    s_size, r_size, labels = brute_classify(a, b, p)
+    got = _classify_masks(a_mask, b_mask, p, a_progressions, b_progressions)
+    assert got == (s_size, r_size, tuple(sorted(labels))), (a, b)
+    return labels
+
+
+def test_mask_classifier_matches_brute_force():
+    # every pair of nonempty subsets at p = 5 and 7: singletons, the
+    # complement label at |A+B| = p-1 and the whole field
+    seen = set()
+    for p in (5, 7):
+        subsets = [x for k in range(1, p + 1) for x in itertools.combinations(range(p), k)]
+        sets = {}
+        for a in subsets:
+            for b in subsets:
+                seen |= _check_mask_classifier(a, b, p, sets)
+    # |A+B| = |A|+|B| <= p-4 with |A| >= 3, |B| >= 4 needs p >= 11
+    assert seen == {
+        CAUCHY_DAVENPORT_TIGHT, VOSPER_SINGLETON, VOSPER_COMPLEMENT, VOSPER_AP,
+        EH_TIGHT, EH_PLUS_ONE, DIAGONAL,
+    }
+    rng = random.Random(4099)
+    for p in (11, 13):
+        sets = {}
+        assert HAMIDOUNE_RODSETH in _check_mask_classifier((0, 1, 3), (0, 1, 2, 3), p, sets)
+        for _ in range(300):
+            a = tuple(sorted(rng.sample(range(p), rng.randint(1, p))))
+            b = tuple(sorted(rng.sample(range(p), rng.randint(1, p))))
+            _check_mask_classifier(a, b, p, sets)
 
 
 def test_classify_labels_consistent_with_sizes():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -26,15 +27,16 @@ from sumsetlab import (
     verify_main_theorem,
 )
 from sumsetlab import sweep
-from sumsetlab.sets import _mask_elements, canonical_pair
+from sumsetlab.sets import ApWitness, _mask_elements, canonical_pair
 from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
+    PairRecord,
+    SweepReport,
     _bounds_shard,
     _converse_exceptions,
     _deal,
     _extremal_bs,
     _extremal_shard,
-    _image,
     _maps_onto,
     _orbit_count,
     _orbit_pair,
@@ -59,6 +61,11 @@ from oracles import (
 
 def _mask(elems):
     return sum(1 << e for e in elems)
+
+
+def _image_of(elems, lam, mu, p):
+    # the mask of lam*X + mu, built from the elements of X
+    return _mask((lam * x + mu) % p for x in elems)
 
 
 def _images_of(elems, p):
@@ -262,10 +269,17 @@ def test_unpruned_walk_matches_naive_double_loop():
                 for b_mask in _extremal_bs(_mask(a), p, k, target, full)
             }
             assert raw == {(_mask(a), _mask(b)) for a, b in naive}
-            walked, pairs = _extremal_shard((p, k, target, _outer_roots(p, k)))
+            walked, rows = _extremal_shard((p, k, target, _outer_roots(p, k)))
             assert walked == burnside_orbit_count(p, k)
             orbits = {_brute_unordered_canonical(a, b, p) for a, b in naive}
-            assert pairs == {(_mask(a), _mask(b)) for a, b in orbits}
+            assert len(rows) == len({(a, b) for a, b, *_ in rows})
+            assert {(a, b) for a, b, *_ in rows} == orbits
+            # each pair's record fields, as make_pair_record gives them
+            for a, b, size, labels, equal, witness in rows:
+                record = make_pair_record(FpSet(Prime(p), a), FpSet(Prime(p), b))
+                w = record.ap_witness
+                assert (size, labels, equal) == (record.restricted_size, record.labels, record.sets_equal)
+                assert witness == (None if w is None else (w.start, w.diff))
     # p = 11 near the top, where the complement walk chooses the missed set
     # D of size p - target = 2, 1 or 0, or returns nothing (target p + 1);
     # the naive loop runs over all mask pairs, with A+.B the union of
@@ -295,10 +309,11 @@ def _orbit_pair_elements(a, b, p):
     # of every map and B carried along
     full = (1 << p) - 1
     lam, mu = oracles._least_map(_mask(a), p)
-    rep = _image(_mask(a), lam, mu, p)
-    stab = _maps_onto(_images_of(_mask_elements(rep), p), rep, p, full)
-    pair = _orbit_pair(rep, _image(_mask(b), lam, mu, p), stab, p, full)
-    return pair and (_mask_elements(pair[0]), _mask_elements(pair[1]))
+    rep = _mask_elements(_image_of(a, lam, mu, p))
+    images = _images_of(rep, p)
+    stab = _maps_onto(images, _mask(rep), p, full)
+    second = _orbit_pair(images, _image_of(b, lam, mu, p), stab, p, full)
+    return None if second is None else (rep, _mask_elements(second))
 
 
 def _canonical_elements(a, b, p):
@@ -497,6 +512,10 @@ REPORT_PINS = {
     ("main", 13, 7): "26ca234cbec43ccd902f7df5e499648b1f88f1a45514f32f3d7cf493496b4f59",
     ("main", 17, 9): "69eaf0098c0957374b7723ba598fd75f3080398c6297cc2ebca14b98762bb719",
     ("karolyi", 11, 7): "0e8029ad8f45aace6fb6b63f58028aca98e1401b3ff0678cb27792b3b8449562",
+    # 1,366 orbits: the largest boundary listing inside the default ceiling
+    ("main", 19, 10): "489ca6c1f9efc160f34ab87ed6561e8a979bdcbb76623bcd30c0239362f1e47b",
+    # 5,378 orbits, where the target 2k-3 equals p
+    ("karolyi", 13, 8): "617991a029a876b200d9d5f117d151ebd13e18fa22a378f673513b1fc78d3e2e",
 }
 BOUNDS_PINS = {
     5: "b447e58cac7269c93c97c4fccf69c9d5375eca47a6274194dfaae6e7331123b5",
@@ -505,15 +524,23 @@ BOUNDS_PINS = {
 BOUNDS_P17_PIN = "3f476e2f963d94936e0f14f96f08d1b9506459b36fabf7e0c4bd9ef9db0dfc81"
 
 
+VERIFY = {"main": verify_main_theorem, "karolyi": verify_karolyi_inverse}
+
+
+@functools.cache
+def _pinned_report(kind, p, k, workers):
+    # the sweeps of REPORT_PINS, run once for the pins and the writer check
+    return VERIFY[kind](p, k, workers=workers)
+
+
 def _sha256(report):
     return hashlib.sha256(report_to_json(report).encode()).hexdigest()
 
 
 def test_report_pins(monkeypatch):
-    verify = {"main": verify_main_theorem, "karolyi": verify_karolyi_inverse}
     for (kind, p, k), pin in REPORT_PINS.items():
         for workers in (1, 2):
-            assert _sha256(verify[kind](p, k, workers=workers)) == pin, (kind, p, k, workers)
+            assert _sha256(_pinned_report(kind, p, k, workers)) == pin, (kind, p, k, workers)
     for p, pin in BOUNDS_PINS.items():
         for workers in (1, 2):
             assert _sha256(verify_bounds(p, workers=workers)) == pin, (p, workers)
@@ -563,6 +590,41 @@ def test_target_above_p_counts_orbits_without_shards(monkeypatch):
     report = verify_main_theorem(23, 13, ceiling=23)
     assert report.pairs_scanned == burnside_orbit_count(23, 13) * comb(23, 13)
     assert report.extremal_pairs == [] and report.passed
+
+
+def test_report_writer_matches_reference():
+    # the template writer against json.dumps(doc, indent=2) of the fields
+    reports = [_pinned_report(kind, p, k, 1) for kind, p, k in REPORT_PINS]
+    reports += [VERIFY[kind](p, k) for kind, p, k in COUNTED_PINS]
+    reports += [verify_bounds(5), verify_bounds(7)]
+    prime = Prime(11)
+    bare = PairRecord(
+        FpSet.of(prime, [0, 1, 2, 3, 5]), FpSet.of(prime, [0, 1, 2, 4, 9]), 5, 8, (), False, None
+    )
+    single = make_pair_record(FpSet.of(prime, [3]), FpSet.of(prime, [3]))
+    assert single.ap_witness == ApWitness(3, 1, 1, prime) and single.labels
+    progression = make_pair_record(FpSet.of(prime, range(5)), FpSet.of(prime, range(5)))
+    assert progression.ap_witness.length == 5
+    flags = {"p_gt_2k_minus_1": False, "k_ge_5": True, "p_gt_2k_minus_2": True}
+    # the three violating pairs over Z/4Z, as verify_bounds would list them
+    violations = [
+        {"a": a, "b": b, "bound": "sumset", "size": 2, "required": 3}
+        for a, b in (("0,2", "0,2"), ("0,2", "1,3"), ("1,3", "1,3"))
+    ]
+    reports += [
+        SweepReport("main", 11, 5, 8, 0),
+        SweepReport(
+            "karolyi", 11, 5, 7, 462,
+            extremal_pairs=[bare, single, progression],
+            # listed twice, and one listed only here
+            counterexamples=[bare, single, make_pair_record(bare.b, bare.a)],
+            hypothesis_flags=flags,
+            expectation_checked=False,
+        ),
+        SweepReport("bounds", 4, None, None, 225, violations=violations),
+    ]
+    for report in reports:
+        assert report_to_json(report) == oracles.reference_report_json(report)
 
 
 def test_extremal_scan_matches_brute_force():
