@@ -13,6 +13,7 @@ from .errors import (
     ModulusTooSmall,
     NotSplitting,
     NotVanishing,
+    ShardLost,
     SumsetLabError,
     ZeroInverse,
     ZeroPolynomial,

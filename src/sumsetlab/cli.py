@@ -3,9 +3,11 @@
 Subcommands: sumset, cn, audit, verify, enumerate. Exit codes: 0 success or
 clean result, 1 mathematical failure, 2 input parse error (a modulus above
 MAX_MODULUS among them), 3 hypothesis violation, 4 resource guard tripped
-(a sweep above its ceiling, or memory exhausted). Structured output (--format records)
-is one self-describing record per line so sweeps can stream; human output
-formats the same data.
+(a sweep above its ceiling, memory exhausted, or a sweep process that ended
+without sending its results, as one killed by the system does). A reader
+that closes standard output early ends the run with 0 and no message.
+Structured output (--format records) is one self-describing record per line
+so sweeps can stream; human output formats the same data.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     HypothesisViolation,
     InvalidArgument,
     NotVanishing,
+    ShardLost,
     SumsetLabError,
 )
 from .field import Prime
@@ -346,7 +349,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed standard output early shows here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader took what it wanted: send the rest of the output to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (_ParseFailure, InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -358,6 +369,9 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except MemoryError:
         print("guard: out of memory", file=sys.stderr)
+        return EXIT_GUARD
+    except ShardLost as exc:
+        print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except SumsetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

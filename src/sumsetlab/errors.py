@@ -67,3 +67,7 @@ class KTooLarge(InvalidArgument):
 
 class CeilingExceeded(SumsetLabError):
     """A sweep was requested above the configured exhaustive ceiling."""
+
+
+class ShardLost(SumsetLabError):
+    """A sweep process ended without sending its shards' results."""

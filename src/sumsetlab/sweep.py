@@ -35,13 +35,15 @@ compared, so most images are settled by a few shifts of one mask:
 
 All three sweeps deal work by one rule: their units (the rep prefixes of
 size k-3 for the theorem sweeps, the reps for the bounds sweep) go by stride
-to up to 16 shards per process, which free processes take in turn. Each
-canonical pair is kept by the one shard that walks its first set, so the
-parent only merges and sorts the shards' results, and reports are
-byte-identical for any worker count. The report's text for each pair record
-is built once, from a fixed template, also when the pair is listed twice. A
-theorem target above p needs no shard: no pair reaches it, and the reps are
-counted in closed form.
+to up to 16 shards per process. The processes are forked and read the shard
+indices from one pipe, so a free process takes the next shard; each sends
+its results back through a pipe of its own. Each canonical pair is kept by
+the one shard that walks its first set, so the parent only merges and sorts
+the shards' results, and reports are byte-identical for any worker count.
+The report's text for each pair record is built once, from a fixed
+template, also when the pair is listed twice. A theorem target above p
+needs no shard: no pair reaches it, and the reps are counted in closed
+form.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from operator import or_
 from typing import Iterator
 
 from .audit import AuditTrace, audit_sigma_chain
-from .errors import CeilingExceeded, InvalidArgument, KTooLarge
+from .errors import CeilingExceeded, InvalidArgument, KTooLarge, ShardLost
 from .field import Prime, as_prime
 from .sets import (
     ApWitness,
@@ -304,11 +306,13 @@ def report_to_json(report: SweepReport) -> str:
 
 
 def _pool_size(workers: int, tasks: int) -> int:
-    # a forking pool starts every worker up front: clamp to tasks and to the
-    # CPUs this process may run on (the host's count where the platform
-    # cannot say)
+    # the processes a sweep forks: no more than its tasks and the CPUs this
+    # process may run on (the host's count where the platform cannot say),
+    # and one, in-process, where the platform cannot fork
     if workers < 1:
         raise InvalidArgument(f"workers must be at least 1, got {workers}")
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -532,16 +536,64 @@ def _deal(units: list, processes: int) -> list[list]:
 
 def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
     # worker's results on (*head, shard) for every shard of the units, in
-    # shard order, on a pool of up to workers processes
+    # shard order, on up to workers forked processes
     processes = _pool_size(workers, len(units))
     arg_list = [(*head, shard) for shard in _deal(units, processes)]
     if processes <= 1:
         return [worker(args) for args in arg_list]
-    # imported here: it pulls in multiprocessing, which only a pool needs
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: only the forking branch needs it
+    import pickle
 
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(worker, arg_list))
+    # every shard index, four bytes each, goes into one pipe before the
+    # first fork; at most 16 * processes of them fit easily in a pipe
+    # buffer. Each child reads the next index until EOF, so a free process
+    # takes the next shard, and runs it on its inherited copy of arg_list
+    # (forking is safe here, as the sweeps start no threads)
+    tasks, tasks_w = os.pipe()
+    os.write(tasks_w, b"".join(i.to_bytes(4, "little") for i in range(len(arg_list))))
+    os.close(tasks_w)
+    pids, pipes = [], []
+    try:
+        for _ in range(processes):
+            reply_r, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for fd in (*pipes, reply_r):
+                        os.close(fd)
+                    try:
+                        done = []
+                        while index := os.read(tasks, 4):
+                            i = int.from_bytes(index, "little")
+                            done.append((i, worker(arg_list[i])))
+                        reply = pickle.dumps(done)
+                    except BaseException as exc:
+                        reply = pickle.dumps(exc)
+                    with open(reply_w, "wb") as stream:
+                        stream.write(reply)
+                finally:
+                    os._exit(0)
+            os.close(reply_w)
+            pids.append(pid)
+            pipes.append(reply_r)
+        results = [None] * len(arg_list)
+        while pipes:
+            with open(pipes.pop(0), "rb") as stream:
+                reply = stream.read()
+            if not reply:
+                raise ShardLost("a sweep process ended without sending its results")
+            done = pickle.loads(reply)
+            if isinstance(done, BaseException):
+                raise done
+            for i, result in done:
+                results[i] = result
+        return results
+    finally:
+        # an unread pipe is closed first, so a child blocked writing to it exits
+        for fd in (tasks, *pipes):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _outer_roots(p: int, k: int) -> list[int]:

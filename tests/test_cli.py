@@ -405,14 +405,20 @@ def test_parser_built_on_first_main_call_and_reused():
     assert proc.stdout == "[0, 1, 1, 1] 1\n"
 
 
-def test_cli_import_loads_no_pool_machinery():
-    # only a sweep's pool branch imports concurrent.futures, which pulls in
-    # multiprocessing, so importing the package and its CLI loads neither
+def test_cli_import_loads_no_pool_machinery(tmp_path):
+    # sweeps fork their processes themselves, so neither importing the
+    # package and its CLI nor a two-worker sweep loads concurrent.futures
+    # or multiprocessing
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "bounds.json"
     code = (
         "import sys, sumsetlab, sumsetlab.cli\n"
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        "pools = ('concurrent.futures', 'multiprocessing')\n"
+        "print([m for m in pools if m in sys.modules])\n"
+        f"argv = ['verify', 'bounds', '-p', '7', '--workers', '2', '--out', {str(out)!r}]\n"
+        "assert sumsetlab.cli.main(argv) == 0\n"
+        "print([m for m in pools if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -421,4 +427,24 @@ def test_cli_import_loads_no_pool_machinery():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert out.exists()
+
+
+def test_closed_standard_output_exits_zero_quietly():
+    # a reader that takes one line and closes the pipe, as `| head -1` does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sumsetlab.cli", "enumerate", "-p", "23", "-k", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"0,1,2,3,4,5\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""

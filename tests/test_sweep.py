@@ -3,8 +3,10 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import random
 import sys
+import time
 from math import comb, gcd
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from sumsetlab import (
     InvalidArgument,
     KTooLarge,
     Prime,
+    ShardLost,
     audit_all_extremal,
     classify_pair,
     enumerate_k_subsets,
@@ -26,7 +29,7 @@ from sumsetlab import (
     verify_karolyi_inverse,
     verify_main_theorem,
 )
-from sumsetlab import sweep
+from sumsetlab import cli, sweep
 from sumsetlab.sets import ApWitness, _mask_elements, canonical_pair
 from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
@@ -43,6 +46,7 @@ from sumsetlab.sweep import (
     _outer_roots,
     _outer_sets,
     _pool_size,
+    _run_shards,
     _unrank_combination,
     _units,
     _violating_pairs,
@@ -449,6 +453,102 @@ def test_pool_size_clamps_to_cpus_and_tasks(monkeypatch):
     for workers in (0, -5):
         with pytest.raises(InvalidArgument):
             _pool_size(workers, 100)
+
+
+@pytest.fixture
+def no_child_left():
+    # a forked run leaves no child behind, running or zombie
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _allow_cpus(monkeypatch, n):
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_forked_shards_return_in_shard_order(monkeypatch, no_child_left):
+    # each shard takes 5 ms, so every process takes some, in turn
+    _allow_cpus(monkeypatch, 4)
+    units = list(range(100))
+
+    def worker(args):
+        tag, shard = args
+        time.sleep(0.005)
+        return tag, shard, os.getpid()
+
+    for processes in (2, 3):
+        shards = _deal(units, processes)
+        assert len(shards) == 16 * processes < len(units)
+        results = _run_shards(worker, ("t",), units, processes)
+        assert [r[:2] for r in results] == [("t", shard) for shard in shards]
+        pids = {r[2] for r in results}
+        assert len(pids) == processes and os.getpid() not in pids
+
+
+def test_forked_shard_result_larger_than_a_pipe_buffer(monkeypatch, no_child_left):
+    _allow_cpus(monkeypatch, 2)
+    blob = bytes(range(256)) * 4096  # 1 MiB per shard; a pipe buffers 64 KiB
+    results = _run_shards(lambda args: (args[0], blob), (), list(range(4)), 2)
+    assert results == [([u], blob) for u in range(4)]
+
+
+def test_forked_shard_exception_reaches_the_caller(monkeypatch, no_child_left):
+    # the process that takes shard 0 fails at once; when the parent reads
+    # that one first, the other is left blocked on sending up to 7 MiB
+    # until the parent closes its pipe unread
+    _allow_cpus(monkeypatch, 2)
+    blob = bytes(range(256)) * 4096
+
+    def worker(args):
+        (shard,) = args
+        if 0 in shard:
+            raise KTooLarge(f"shard {shard}")
+        return blob
+
+    with pytest.raises(KTooLarge, match=r"shard \[0\]"):
+        _run_shards(worker, (), list(range(8)), 2)
+
+
+def test_memory_error_in_a_forked_shard_exits_4(monkeypatch, tmp_path, capsys, no_child_left):
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.chdir(tmp_path)
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(sweep, "_extremal_shard", exhausted)
+    assert len(_outer_roots(13, 7)) > 1
+    assert cli.main(["verify", "main", "-p", "13", "-k", "7", "--workers", "2"]) == cli.EXIT_GUARD
+    assert capsys.readouterr().err == "guard: out of memory\n"
+
+
+def test_a_shard_process_that_ends_without_a_result(monkeypatch, tmp_path, capsys, no_child_left):
+    # as a child killed by the system does: exit 4 with one line, no traceback
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.chdir(tmp_path)
+    parent = os.getpid()
+
+    def vanish(args):
+        if os.getpid() == parent:
+            raise AssertionError("the shard ran in the parent")
+        os._exit(1)
+
+    with pytest.raises(ShardLost):
+        _run_shards(vanish, (), list(range(8)), 2)
+    monkeypatch.setattr(sweep, "_extremal_shard", vanish)
+    assert cli.main(["verify", "main", "-p", "13", "-k", "7", "--workers", "2"]) == cli.EXIT_GUARD
+    assert capsys.readouterr().err == "guard: a sweep process ended without sending its results\n"
+
+
+def test_without_fork_sweeps_run_in_process(monkeypatch):
+    main_bytes = report_to_json(verify_main_theorem(13, 7, workers=1))
+    bounds_bytes = report_to_json(verify_bounds(7, workers=1))
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert _pool_size(2, 100) == 1
+    assert report_to_json(verify_main_theorem(13, 7, workers=2)) == main_bytes
+    assert report_to_json(verify_bounds(7, workers=2)) == bounds_bytes
 
 
 def test_theorem_sweep_argument_guards():
