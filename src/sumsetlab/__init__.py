@@ -41,7 +41,6 @@ from .poly import (
     homogeneous_components,
     roots_over_fp,
     sigma_expansion,
-    splits_with_distinct_roots,
     vanishing_polynomial,
 )
 from .nullstellensatz import (
@@ -49,7 +48,6 @@ from .nullstellensatz import (
     WitnessVerdict,
     cn_decompose,
     first_nonvanishing_point,
-    vanishes_on_grid,
     verify_witness,
 )
 from .audit import (

@@ -49,7 +49,9 @@ EXIT_GUARD = 4
 
 # the largest modulus accepted, checked before the primality test: trial
 # division then takes under 25,000 steps, and the polynomial kernels are
-# exact up to here; the set masks still cost p bits each
+# exact up to here. sumset, cn and audit run at this cap (a sweep stops at
+# its ceiling first); only the set masks cost memory in proportion to p,
+# p bits each
 MAX_MODULUS = 2**31 - 1
 
 

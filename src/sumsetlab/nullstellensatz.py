@@ -23,7 +23,6 @@ from .sets import FpSet
 __all__ = [
     "CnWitness",
     "WitnessVerdict",
-    "vanishes_on_grid",
     "first_nonvanishing_point",
     "cn_decompose",
     "verify_witness",
@@ -76,11 +75,6 @@ def first_nonvanishing_point(
             if v:
                 return (a, b, v)
     return None
-
-
-def vanishes_on_grid(f: BiPoly, sx: FpSet, sy: FpSet) -> bool:
-    """Exhaustively test f(a, b) = 0 over the full grid sx x sy."""
-    return first_nonvanishing_point(f, sx, sy) is None
 
 
 def cn_decompose(f: BiPoly, sx: FpSet, sy: FpSet) -> CnWitness:

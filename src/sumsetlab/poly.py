@@ -34,7 +34,6 @@ __all__ = [
     "cij_exact",
     "sigma_expansion",
     "roots_over_fp",
-    "splits_with_distinct_roots",
 ]
 
 
@@ -393,8 +392,3 @@ def roots_over_fp(q: UniPoly) -> FpSet:
         raise ZeroPolynomial("every residue is a root of the zero polynomial")
     p = q.modulus.value
     return FpSet.of(q.modulus, (r for r in range(p) if q.evaluate(r) == 0))
-
-
-def splits_with_distinct_roots(q: UniPoly) -> bool:
-    """True iff q has deg(q) distinct roots in the field."""
-    return not q.is_zero and len(roots_over_fp(q)) == q.degree

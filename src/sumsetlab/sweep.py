@@ -37,9 +37,11 @@ All three sweeps deal work by one rule: their units (the rep prefixes of
 size k-3 for the theorem sweeps, the reps for the bounds sweep) go by stride
 to up to 16 shards per process. The processes are forked and read the shard
 indices from one pipe, so a free process takes the next shard; each sends
-its results back through a pipe of its own. Each canonical pair is kept by
-the one shard that walks its first set, so the parent only merges and sorts
-the shards' results, and reports are byte-identical for any worker count.
+its results back through a pipe of its own. A process whose shard fails
+empties the index pipe first, so the others stop after the shard they run.
+Each canonical pair is kept by the one shard that walks its first set, so
+the parent only merges and sorts the shards' results, and reports are
+byte-identical for any worker count.
 The report's text for each pair record is built once, from a fixed
 template, also when the pair is listed twice. A theorem target above p
 needs no shard: no pair reaches it, and the reps are counted in closed
@@ -349,12 +351,6 @@ def _dilations(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 << lam * e % p for lam in _units(p)) for e in range(p))
 
 
-@functools.cache
-def _unit_index(n: int) -> dict[int, int]:
-    # the position of each multiplier in _units(n), where _images puts lam*X
-    return {lam: i for i, lam in enumerate(_units(n))}
-
-
 def _images(mask: int, p: int) -> list[int]:
     # the masks lam*X for the multipliers lam of _units(p), in order: the
     # bits of one image are distinct, so their sum is their OR
@@ -443,11 +439,11 @@ def _orbit_pair(
     onto = _maps_onto(b_images, a_images[0], p, full)
     if onto is None:
         return None
-    at = _unit_index(p)
     best = full + 1  # above every candidate: the first one wins
     for images, maps in ((b_images, stab), (a_images, onto)):
         for lam, mu in maps:
-            y = _rotate(images[at[lam]], mu, p, full)
+            # at a prime _units(p) is 1..p-1, so lam*X is images[lam - 1]
+            y = _rotate(images[lam - 1], mu, p, full)
             diff = y ^ best
             if diff & -diff & y:
                 best = y
@@ -568,6 +564,10 @@ def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
                             done.append((i, worker(arg_list[i])))
                         reply = pickle.dumps(done)
                     except BaseException as exc:
+                        # take every shard left, so the other processes
+                        # stop after the one they are running
+                        while os.read(tasks, 4096):
+                            pass
                         reply = pickle.dumps(exc)
                     with open(reply_w, "wb") as stream:
                         stream.write(reply)

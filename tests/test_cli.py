@@ -83,11 +83,13 @@ def test_cn_default_locus(capsys):
 
 
 def test_cn_at_a_prime_beyond_machine_slots(capsys):
-    # at p = 2**31 - 1 the packed kernels need slots wider than 8 bytes
-    assert main(["cn", "-p", "2147483647", "-A", "0,1,2,3,5", "-B", "0,1,2,3,5"]) == 0
-    captured = capsys.readouterr()
-    assert "verdict: valid" in captured.out
-    assert "Traceback" not in captured.out + captured.err
+    # at p = 2**31 - 1 the packed kernels need slots wider than 8 bytes, and
+    # the audit's binomials must not cost memory in proportion to p
+    for command, verdict in (("cn", "verdict: valid"), ("audit", "# trace: clean; A == B: true")):
+        assert main([command, "-p", "2147483647", "-A", "0,1,2,3,5", "-B", "0,1,2,3,5"]) == 0
+        captured = capsys.readouterr()
+        assert verdict in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_cn_user_polynomial_not_vanishing(tmp_path, capsys):

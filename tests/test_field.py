@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from sumsetlab import (
@@ -38,6 +40,10 @@ def test_inverse_examples():
     assert inverse_mod(10, 11) == 10  # (-1)^2 = 1
     assert inverse_mod(-8, 11) == 4  # arguments are reduced first
     assert inverse_mod(25, 11) == 4
+    pv = 2**31 - 1
+    for a in (2, 12345, pv - 1):
+        assert a * inverse_mod(a, pv) % pv == 1
+        assert inverse_mod(inverse_mod(a, pv), pv) == a
 
 
 def test_inverse_of_zero_rejected():
@@ -54,6 +60,13 @@ def test_inverse_agrees_with_fermat_exponentiation():
             assert 0 <= x < pv and a * x % pv == 1
 
 
+def test_inverse_rejects_a_shared_factor():
+    # a composite modulus with gcd(a, n) > 1 has no inverse to return
+    for a, n in ((2, 4), (6, 9)):
+        with pytest.raises(ValueError):
+            inverse_mod(a, n)
+
+
 def test_binomial_examples():
     p = Prime(11)
     assert binomial_mod(8, 4, p) == 70 % 11  # = 4
@@ -62,6 +75,7 @@ def test_binomial_examples():
     for n in range(7):
         assert binomial_mod(n, 0, Prime(7)) == 1
     assert binomial_mod(3, 5, Prime(7)) == 0
+    assert binomial_mod(34, 17, 2**31 - 1) == comb(34, 17) % (2**31 - 1)
 
 
 def test_binomial_against_pascal_oracle():

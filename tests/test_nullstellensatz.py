@@ -13,7 +13,6 @@ from sumsetlab import (
     cn_decompose,
     first_nonvanishing_point,
     restricted_sumset,
-    vanishes_on_grid,
     vanishing_polynomial,
     verify_witness,
 )
@@ -88,14 +87,14 @@ def test_vanishes_on_grid_basics():
     g_a = _in_x(vanishing_polynomial(a))
     rng = random.Random(1)
     anything = _terms(_random_bipoly(rng, P11))
-    assert vanishes_on_grid(_bipoly(P11, brute_bipoly_product(g_a, anything, 11)), a, b)
+    f = _bipoly(P11, brute_bipoly_product(g_a, anything, 11))
+    assert first_nonvanishing_point(f, a, b) is None
     one = BiPoly.of(P11, [[1]])
-    assert not vanishes_on_grid(one, a, b)
     assert first_nonvanishing_point(one, a, b) == (0, 4, 1)
     f = build_locus_poly(restricted_sumset(a, b))
-    assert vanishes_on_grid(f, a, b)
+    assert first_nonvanishing_point(f, a, b) is None
     with pytest.raises(ModulusMismatch):
-        vanishes_on_grid(one, a, FpSet.of(Prime(7), [1]))
+        first_nonvanishing_point(one, a, FpSet.of(Prime(7), [1]))
 
 
 def test_decompose_trivial_cases():
@@ -154,7 +153,7 @@ def test_decompose_rejects_nonvanishing_input():
         a = _random_set(rng, P11, rng.randint(1, 5))
         b = _random_set(rng, P11, rng.randint(1, 5))
         f = _random_bipoly(rng, P11)
-        if vanishes_on_grid(f, a, b):
+        if first_nonvanishing_point(f, a, b) is None:
             continue  # astronomically unlikely for random f, but stay honest
         rejected += 1
         with pytest.raises(NotVanishing) as info:

@@ -510,6 +510,34 @@ def test_forked_shard_exception_reaches_the_caller(monkeypatch, no_child_left):
         _run_shards(worker, (), list(range(8)), 2)
 
 
+def test_a_failed_shard_stops_the_other_processes(monkeypatch, tmp_path, no_child_left):
+    # every other shard records that it ran, then holds its process until
+    # shard 0 has failed and a while longer; the failing process takes the
+    # shards left, so each other process runs at most the one it holds
+    failed, ran = tmp_path / "failed", tmp_path / "ran"
+
+    def worker(args):
+        (shard,) = args
+        if 0 in shard:
+            failed.touch()
+            raise KTooLarge(f"shard {shard}")
+        with open(ran, "ab") as log:
+            log.write(b".")
+        deadline = time.monotonic() + 10
+        while not failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.2)
+
+    for processes in (2, 3):
+        _allow_cpus(monkeypatch, processes)
+        ran.write_bytes(b"")
+        failed.unlink(missing_ok=True)
+        assert len(_deal(list(range(32)), processes)) == 32
+        with pytest.raises(KTooLarge, match=r"shard \[0\]"):
+            _run_shards(worker, (), list(range(32)), processes)
+        assert len(ran.read_bytes()) <= processes - 1
+
+
 def test_memory_error_in_a_forked_shard_exits_4(monkeypatch, tmp_path, capsys, no_child_left):
     _allow_cpus(monkeypatch, 2)
     monkeypatch.chdir(tmp_path)
