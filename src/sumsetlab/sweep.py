@@ -4,26 +4,28 @@ Three sweeps are provided: the diagonal-equality sweep (every pair of
 k-subsets whose restricted sumset has size exactly 2k-2 must satisfy A = B),
 the progression-structure sweep at size 2k-3, and the classical lower-bound
 sweep over all nonempty pairs. All three share one bitmask engine, and one
-kernel in it scans the maps x -> lam*x + mu of a set, given its images
-lam*X, onto a mask. As that mask starts with a run 0..r0-1, for each
-multiplier only the offsets that start an equally long run of the image are
-compared, so most images are settled by a few shifts of one mask:
+kernel in it scans the maps x -> lam*x + mu of a set onto a mask, given the
+set's images lam*X packed in one int, one doubled image per lane. As that
+mask starts with a run 0..r0-1, only the offsets that start an equally long
+run of an image are compared, so most images are settled by a few shifts
+of that int, every lane at once:
 
 - the outer set A runs over affine-orbit representatives, grown depth-first
   from {0} by orderly generation (a representative stays one when its
   largest element is dropped, so non-representatives are pruned with their
-  subtrees). A child's images are its parent's with one bit ORed into each,
-  and the kernel run on A onto itself is the rep test; the maps it finds
-  are A's stabiliser. One walk meets every rep of every size once: the
+  subtrees). A child's images are its parent's ORed with one precomputed
+  row, and the kernel run on A onto itself is the rep test; the maps it
+  finds are A's stabiliser. One walk meets every rep of every size once: the
   theorem sweeps keep the reps of size k, the bounds sweep all of them;
 - for each A the theorem sweeps walk B inside the complement of A+.B. By
   the complement step of Vosper's theorem, x misses A+.B iff B avoids every
   b with x in (A minus b) + b, so the p - target missed residues are chosen
   first, with the b that avoid them, and the hits are the k-subsets of
   those that cover the rest. The bounds sweep walks B in increasing order,
-  checks both bounds at every node and cuts a branch once A+.B is the whole
-  field or |B| = |A| (both bounds are symmetric in A and B, so a larger B
-  is met from the other side, at the representative of its own orbit);
+  checks both bounds at every node and cuts a branch once |B| = |A| (both
+  bounds are symmetric in A and B, so a larger B is met from the other
+  side, at the representative of its own orbit) or once both sums are
+  large enough that no superset below the node can break a bound;
 - each theorem hit (A, B) is reduced against the representative A by the
   kernel run on B onto A: it is dropped when an image of B is lex-below A,
   since that orbit is found again from the representative of B, and
@@ -57,7 +59,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from json.encoder import encode_basestring_ascii as _json_string
 from math import comb, gcd
-from operator import or_
 from typing import Iterator
 
 from .audit import AuditTrace, audit_sigma_chain
@@ -346,70 +347,89 @@ def _orbit_count(p: int, k: int) -> int:
 
 
 @functools.cache
-def _dilations(p: int) -> tuple[tuple[int, ...], ...]:
-    # row e: the bit of lam*e for each multiplier lam of _units(p)
-    return tuple(tuple(1 << lam * e % p for lam in _units(p)) for e in range(p))
+def _dilations(p: int) -> tuple[int, ...]:
+    # row e: lam*e for every multiplier lam of _units(p), one lane each.
+    # Lane i is 2p bits wide, starts at bit 2p*i and holds its residue r
+    # twice, at bits r and r + p, so in the sum of a set's rows each lane
+    # holds one image lam*X doubled, and lam*X translated by -t is that
+    # lane shifted right by t
+    return tuple(
+        sum((1 << p | 1) << 2 * p * i + lam * e % p for i, lam in enumerate(_units(p)))
+        for e in range(p)
+    )
 
 
-def _images(mask: int, p: int) -> list[int]:
-    # the masks lam*X for the multipliers lam of _units(p), in order: the
-    # bits of one image are distinct, so their sum is their OR
-    rows = [_dilations(p)[e] for e in _mask_elements(mask)]
-    return list(map(sum, zip([0] * len(_units(p)), *rows)))
+@functools.cache
+def _lane_lows(p: int) -> int:
+    # the low p bits of every lane: the offsets t = 0..p-1 of each image
+    return sum(((1 << p) - 1) << 2 * p * i for i in range(len(_units(p))))
 
 
-def _maps_onto(images: list[int], ref: int, p: int, full: int) -> list[tuple[int, int]] | None:
+def _images(mask: int, p: int) -> int:
+    # the images lam*X of a set in the lanes of _dilations(p): the rows of
+    # distinct elements share no bit, so their sum is their OR
+    rows = _dilations(p)
+    return sum(rows[e] for e in _mask_elements(mask))
+
+
+def _lane_turn(images: int, lane: int, mu: int, p: int, full: int) -> int:
+    # the image in the given lane turned by mu, lam*X + mu, for mu in
+    # 0..p-1: the p bits of the doubled lane from bit p - mu
+    return images >> 2 * p * lane + p - mu & full
+
+
+def _maps_onto(images: int, ref: int, p: int, full: int) -> list[tuple[int, int]] | None:
     # the maps x -> lam*x + mu sending a set onto the mask ref, given the
-    # set's images lam*X in the order of _units(p); None as soon as some
-    # image is lex-below ref. Equal-size X <lex Y iff the lowest bit of X^Y
-    # is in X, and only images with 0 compete (so a set without 0 is never
-    # a rep). With ref the set's own mask this is the orbit-rep test, and
-    # the maps it returns are the stabiliser.
+    # set's lanes of images lam*X (see _dilations); None when some image is
+    # lex-below ref. Equal-size X <lex Y iff the lowest bit of X^Y is in X,
+    # and only images with 0 compete (so a set without 0 is never a rep).
+    # With ref the set's own mask this is the orbit-rep test, and the maps
+    # it returns, in the order of _units(p), are the stabiliser.
     #
     # ref starts with the run 0..r0-1 and lacks r0. An image translated by
     # -t that misses some bit below r0 sorts above ref, so only the offsets
-    # t starting a run of r0 elements are compared: the AND of the doubled
-    # image shifted right by 0..r0-1 (built by doubling the run length).
-    # Such a t with t + r0 in the image as well sorts below ref. At a
-    # prime at most one offset per multiplier can match a ref other than
-    # the whole field (r0 = p, where every offset matches and none is below).
+    # t starting a run of r0 elements are compared: the AND of the lanes
+    # shifted right by 0..r0-1 (built by doubling the run length), at the
+    # low p bits of each lane, where a run up to r0 stays in its lane. Such
+    # a t with t + r0 in the image as well sorts below ref; one test covers
+    # every lane. At a prime at most one offset per multiplier can match a
+    # ref other than the whole field (r0 = p, where every offset matches
+    # and none is below), so few start bits are left to compare.
     r0 = ((ref + 1) & ~ref).bit_length() - 1
-    steps, run = [], 1
+    starts, run = images, 1
     while run < r0:
         step = min(run, r0 - run)
-        steps.append(step)
+        starts &= starts >> step
         run += step
+    starts &= _lane_lows(p)
+    if r0 < p and starts & images >> r0:
+        return None
     maps = []
-    for lam, image in zip(_units(p), images):
-        image |= image << p  # x -> x - t is now a shift right by t
-        starts = image
-        for step in steps:
-            starts &= starts >> step
-        starts &= full
-        if r0 < p and starts & image >> r0:
+    units = _units(p)
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        at = low.bit_length() - 1
+        y = images >> at & full
+        diff = y ^ ref
+        if not diff:
+            lane, t = divmod(at, 2 * p)
+            maps.append((units[lane], -t % p))
+        elif diff & -diff & y:
             return None
-        while starts:
-            low = starts & -starts
-            starts ^= low
-            t = low.bit_length() - 1
-            y = image >> t & full
-            diff = y ^ ref
-            if not diff:
-                maps.append((lam, -t % p))
-            elif diff & -diff & y:
-                return None
     return maps
 
 
 def _outer_sets(
-    root: int, size: int, p: int, k: int, images: list[int] | None = None
+    root: int, size: int, p: int, k: int, images: int | None = None
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     # every orbit rep grown from root, depth-first up to the given size, by
     # elements above its maximum that can still reach k elements (any
     # element for k = 1), each with its stabiliser. Orderly generation: a
     # rep stays a rep when its largest element is dropped, so no rep lies
-    # above a non-rep, and each rep is met once. images are root's images
-    # lam*root; a child's are its parent's with one bit ORed into each
+    # above a non-rep, and each rep is met once. images are root's lanes of
+    # images lam*root; a child's are its parent's ORed with one row of
+    # _dilations, a bit pair in every lane at once
     if images is None:
         images = _images(root, p)
     have = root.bit_count() + 1
@@ -417,7 +437,7 @@ def _outer_sets(
     rows = _dilations(p)
     for e in range(root.bit_length(), min(p, p - k + have)):
         mask = root | 1 << e
-        child = list(map(or_, images, rows[e]))
+        child = images | rows[e]
         stab = _maps_onto(child, mask, p, full)
         if stab is None:
             continue
@@ -427,23 +447,23 @@ def _outer_sets(
 
 
 def _orbit_pair(
-    a_images: list[int], b_mask: int, stab: list[tuple[int, int]], p: int, full: int
+    a_images: int, b_mask: int, stab: list[tuple[int, int]], p: int, full: int
 ) -> int | None:
     # the lex-least common image of a hit (A, B) over both orders, where A is
-    # an orbit rep with stabiliser stab and images a_images (A itself first,
-    # for lam = 1); None when an image of B is below A, as then the orbit is
-    # found again from rep(B) (A+.B is symmetric). Otherwise the first set
-    # is A, and the second, returned, is the least image of B under stab or
-    # of A under the maps sending B onto A: lam*X + mu is lam*X turned by mu
+    # an orbit rep with stabiliser stab and lanes of images a_images (A
+    # itself in the first, for lam = 1); None when an image of B is below A,
+    # as then the orbit is found again from rep(B) (A+.B is symmetric).
+    # Otherwise the first set is A, and the second, returned, is the least
+    # image of B under stab or of A under the maps sending B onto A
     b_images = _images(b_mask, p)
-    onto = _maps_onto(b_images, a_images[0], p, full)
+    onto = _maps_onto(b_images, a_images & full, p, full)
     if onto is None:
         return None
     best = full + 1  # above every candidate: the first one wins
     for images, maps in ((b_images, stab), (a_images, onto)):
         for lam, mu in maps:
-            # at a prime _units(p) is 1..p-1, so lam*X is images[lam - 1]
-            y = _rotate(images[lam - 1], mu, p, full)
+            # at a prime _units(p) is 1..p-1, so lam*X is in lane lam - 1
+            y = _lane_turn(images, lam - 1, mu, p, full)
             diff = y ^ best
             if diff & -diff & y:
                 best = y
@@ -747,10 +767,14 @@ def verify_karolyi_inverse(
 def _rep_violations(a_mask: int, p: int, full: int) -> list[tuple[int, int, str, int, int]]:
     # every B of size at most |A| breaking a bound against A, walking B in
     # increasing order; each step ORs A+b into A+B and (A minus b)+b into
-    # A+.B. A branch is cut once A+.B is the whole field, as both sums then
-    # stay whole above it, and once |B| = |A|: both bounds and the report's
+    # A+.B. A branch is cut once |B| = |A|: both bounds and the report's
     # unordered pairs are symmetric in A and B, so a violating {X, Y} with
-    # |X| >= |Y| is found at rep(X), with B an image of Y
+    # |X| >= |Y| is found at rep(X), with B an image of Y. It is also cut
+    # once no superset below B can break a bound: both sums only grow with
+    # B, such a superset has at most top = min(|A|, |B| + p - 1 - max B)
+    # elements, and both bounds grow with its size, so it is enough that
+    # both sums already reach their bound at size top. This holds over
+    # Z/nZ too, as it uses no theorem
     ka = a_mask.bit_count()
     grow = [_rotate(a_mask, b, p, full) for b in range(p)]
     grow_r = [_rotate(a_mask & ~(1 << b), b, p, full) for b in range(p)]
@@ -767,11 +791,13 @@ def _rep_violations(a_mask: int, p: int, full: int) -> list[tuple[int, int, str,
             size = s.bit_count()
             if size < need:
                 found.append((a_mask, m, "sumset", size, need))
-            size = r.bit_count()
-            if size < need_r:
-                found.append((a_mask, m, "restricted", size, need_r))
-            if r != full and kb < ka:
-                extend(s, r, m, kb + 1, b + 1)
+            size_r = r.bit_count()
+            if size_r < need_r:
+                found.append((a_mask, m, "restricted", size_r, need_r))
+            if kb < ka:
+                top = min(ka, kb + p - 1 - b)
+                if size < min(p, ka + top - 1) or size_r < min(p, ka + top - 3):
+                    extend(s, r, m, kb + 1, b + 1)
 
     extend(0, 0, 0, 1, 0)
     return found
@@ -789,15 +815,15 @@ def _violating_pairs(
 ) -> set[tuple[int, int, str, int, int]]:
     # every image of each violation under the maps x -> lam*x + mu, as the
     # unordered pair (min mask, max mask); both bounds are invariant under a
-    # common affine map, so this is every violating pair. lam*X + mu is
-    # lam*X turned by mu
+    # common affine map, so this is every violating pair
     full = (1 << p) - 1
     pairs = set()
     for a_mask, b_mask, bound, size, need in found:
-        for a_image, b_image in zip(_images(a_mask, p), _images(b_mask, p)):
+        a_images, b_images = _images(a_mask, p), _images(b_mask, p)
+        for lane in range(len(_units(p))):
             for mu in range(p):
-                x = _rotate(a_image, mu, p, full)
-                y = _rotate(b_image, mu, p, full)
+                x = _lane_turn(a_images, lane, mu, p, full)
+                y = _lane_turn(b_images, lane, mu, p, full)
                 pairs.add((min(x, y), max(x, y), bound, size, need))
     return pairs
 

@@ -30,7 +30,7 @@ from sumsetlab import (
     verify_main_theorem,
 )
 from sumsetlab import cli, sweep
-from sumsetlab.sets import ApWitness, _mask_elements, canonical_pair
+from sumsetlab.sets import ApWitness, _mask_elements, _rotate, canonical_pair
 from sumsetlab.sweep import (
     DEFAULT_THEOREM_CEILING,
     PairRecord,
@@ -40,6 +40,8 @@ from sumsetlab.sweep import (
     _deal,
     _extremal_bs,
     _extremal_shard,
+    _images,
+    _lane_turn,
     _maps_onto,
     _orbit_count,
     _orbit_pair,
@@ -72,10 +74,17 @@ def _image_of(elems, lam, mu, p):
     return _mask((lam * x + mu) % p for x in elems)
 
 
-def _images_of(elems, p):
-    # the masks of lam*X for lam = 1..p-1, the kernel's input, built from
-    # the elements of X
-    return [_mask(lam * x % p for x in elems) for lam in range(1, p)]
+def _images_of(elems, n):
+    # the images lam*X for the units lam of Z/nZ in increasing order, packed
+    # as the kernel takes them, from the elements of X and not through
+    # sweep._dilations: lane i is 2n bits wide, starts at bit 2n*i and
+    # holds the i-th image twice, at bits r and r + n for each r in it
+    units = [lam for lam in range(1, n) if gcd(lam, n) == 1]
+    packed = 0
+    for i, lam in enumerate(units):
+        image = _mask(lam * x % n for x in elems)
+        packed |= (image | image << n) << 2 * n * i
+    return packed
 
 
 def _reps_of_size(root, p, k):
@@ -371,6 +380,28 @@ def test_stabiliser_fixes_the_rep():
                     if sorted((lam * x + mu) % p for x in rep) == list(rep)
                 }
                 assert sorted(stab) == sorted(maps)
+
+
+def test_images_pack_every_multiplier_into_doubled_lanes():
+    # every mask over Z/nZ, at primes and at the composite n the bounds
+    # tests walk, against the packing built from the elements
+    for n in (5, 7, 11, 4, 6, 8):
+        for mask in range(1 << n):
+            assert _images(mask, n) == _images_of(_mask_elements(mask), n), (n, mask)
+    # the image in lane lam - 1 turned by mu, as _orbit_pair and
+    # _violating_pairs read it, is lam*X + mu: every mask at p = 7 and
+    # seeded ones at 11 and 13, for every lam and mu
+    rng = random.Random(1429)
+    for p, masks in ((7, range(1 << 7)), (11, rng.sample(range(1 << 11), 150)),
+                     (13, rng.sample(range(1 << 13), 150))):
+        full = (1 << p) - 1
+        for mask in masks:
+            images = _images(mask, p)
+            for lam in range(1, p):
+                dilated = _mask(lam * x % p for x in _mask_elements(mask))
+                for mu in range(p):
+                    expected = _rotate(dilated, mu, p, full)
+                    assert _lane_turn(images, lam - 1, mu, p, full) == expected, (p, mask, lam, mu)
 
 
 def _check_maps_onto(a, b, p):
@@ -690,6 +721,18 @@ def test_report_pins(monkeypatch):
         assert op.args == ("bounds", "-p", str(p))
         for workers in (1, 2):
             assert _sha256(verify_bounds(p, workers=workers)) == op.pin.sha256, (p, workers)
+
+
+# main (23, 12), at the boundary p = 2k-1 above the default ceiling: 16,079
+# orbits from 32,326 raw hits, the densest dedup load. sha256 computed
+# while each image of a set was still a mask of its own
+BOUNDARY_P23_PIN = "4d6242c3316655ccba75e00f86f7587312b630e77bd8520985e4c6c87b969769"
+
+
+def test_boundary_pin_at_p23():
+    report = verify_main_theorem(23, 12, workers=2, ceiling=23)
+    assert report.extremal_count == 16079
+    assert _sha256(report) == BOUNDARY_P23_PIN
 
 
 # report sha256 of sweeps whose target exceeds p, computed while every
