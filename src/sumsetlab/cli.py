@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, k=True)
     sp.add_argument("--target", type=int, default=None,
                     help="override the extremal restricted-sumset size")
-    sp.add_argument("--workers", type=int, default=1, help="parallel shard count")
+    sp.add_argument("--workers", type=int, default=1, help="processes that run shards, this one included")
     sp.add_argument("--out", default=None, help="report file path")
     sp.add_argument("--ceiling", type=int, default=None,
                     help="exhaustive ceiling override for p")

@@ -37,10 +37,11 @@ of that int, every lane at once:
 
 All three sweeps deal work by one rule: their units (the rep prefixes of
 size k-3 for the theorem sweeps, the reps for the bounds sweep) go by stride
-to up to 16 shards per process. The processes are forked and read the shard
-indices from one pipe, so a free process takes the next shard; each sends
-its results back through a pipe of its own. A process whose shard fails
-empties the index pipe first, so the others stop after the shard they run.
+to up to 16 shards per process. The calling process and workers - 1 forked
+children read the shard indices from one pipe, so a free process takes the
+next shard; each child sends its results back through a pipe of its own. A
+process whose shard fails empties the index pipe first, so the others stop
+after the shard they run.
 Each canonical pair is kept by the one shard that walks its first set, so
 the parent only merges and sorts the shards' results, and reports are
 byte-identical for any worker count.
@@ -309,9 +310,9 @@ def report_to_json(report: SweepReport) -> str:
 
 
 def _pool_size(workers: int, tasks: int) -> int:
-    # the processes a sweep forks: no more than its tasks and the CPUs this
-    # process may run on (the host's count where the platform cannot say),
-    # and one, in-process, where the platform cannot fork
+    # the processes that run a sweep's shards, this one included: no more
+    # than its tasks and the CPUs this process may run on (the host's count
+    # where the platform cannot say), and one where the platform cannot fork
     if workers < 1:
         raise InvalidArgument(f"workers must be at least 1, got {workers}")
     if not hasattr(os, "fork"):
@@ -550,9 +551,25 @@ def _deal(units: list, processes: int) -> list[list]:
     return [units[s::shards] for s in range(shards)]
 
 
+def _take_shards(worker, arg_list: list, tasks: int) -> list:
+    # (i, worker's result) for each shard index i read from the tasks pipe
+    # until EOF. On failure every index left is taken first, so the other
+    # processes stop after the shard they are running
+    done = []
+    try:
+        while index := os.read(tasks, 4):
+            i = int.from_bytes(index, "little")
+            done.append((i, worker(arg_list[i])))
+    except BaseException:
+        while os.read(tasks, 4096):
+            pass
+        raise
+    return done
+
+
 def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
     # worker's results on (*head, shard) for every shard of the units, in
-    # shard order, on up to workers forked processes
+    # shard order, on up to workers processes: this one and forked children
     processes = _pool_size(workers, len(units))
     arg_list = [(*head, shard) for shard in _deal(units, processes)]
     if processes <= 1:
@@ -562,15 +579,15 @@ def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
 
     # every shard index, four bytes each, goes into one pipe before the
     # first fork; at most 16 * processes of them fit easily in a pipe
-    # buffer. Each child reads the next index until EOF, so a free process
-    # takes the next shard, and runs it on its inherited copy of arg_list
-    # (forking is safe here, as the sweeps start no threads)
+    # buffer. This process and each child read the next index until EOF,
+    # so a free process takes the next shard, and run it on their copy of
+    # arg_list (forking is safe here, as the sweeps start no threads)
     tasks, tasks_w = os.pipe()
     os.write(tasks_w, b"".join(i.to_bytes(4, "little") for i in range(len(arg_list))))
     os.close(tasks_w)
     pids, pipes = [], []
     try:
-        for _ in range(processes):
+        for _ in range(processes - 1):
             reply_r, reply_w = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -578,16 +595,8 @@ def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
                     for fd in (*pipes, reply_r):
                         os.close(fd)
                     try:
-                        done = []
-                        while index := os.read(tasks, 4):
-                            i = int.from_bytes(index, "little")
-                            done.append((i, worker(arg_list[i])))
-                        reply = pickle.dumps(done)
+                        reply = pickle.dumps(_take_shards(worker, arg_list, tasks))
                     except BaseException as exc:
-                        # take every shard left, so the other processes
-                        # stop after the one they are running
-                        while os.read(tasks, 4096):
-                            pass
                         reply = pickle.dumps(exc)
                     with open(reply_w, "wb") as stream:
                         stream.write(reply)
@@ -596,18 +605,20 @@ def _run_shards(worker, head: tuple, units: list, workers: int) -> list:
             os.close(reply_w)
             pids.append(pid)
             pipes.append(reply_r)
-        results = [None] * len(arg_list)
+        # this process runs shards too; a child's failure is raised once
+        # this loop ends, which is right after that child took the indices left
+        done = _take_shards(worker, arg_list, tasks)
         while pipes:
             with open(pipes.pop(0), "rb") as stream:
                 reply = stream.read()
             if not reply:
                 raise ShardLost("a sweep process ended without sending its results")
-            done = pickle.loads(reply)
-            if isinstance(done, BaseException):
-                raise done
-            for i, result in done:
-                results[i] = result
-        return results
+            reply = pickle.loads(reply)
+            if isinstance(reply, BaseException):
+                raise reply
+            done += reply
+        # each index was taken once, so only the indices are compared
+        return [result for _, result in sorted(done)]
     finally:
         # an unread pipe is closed first, so a child blocked writing to it exits
         for fd in (tasks, *pipes):

@@ -499,7 +499,8 @@ def _allow_cpus(monkeypatch, n):
 
 
 def test_forked_shards_return_in_shard_order(monkeypatch, no_child_left):
-    # each shard takes 5 ms, so every process takes some, in turn
+    # each shard takes 5 ms, so every process takes some, in turn, this one
+    # included
     _allow_cpus(monkeypatch, 4)
     units = list(range(100))
 
@@ -514,7 +515,26 @@ def test_forked_shards_return_in_shard_order(monkeypatch, no_child_left):
         results = _run_shards(worker, ("t",), units, processes)
         assert [r[:2] for r in results] == [("t", shard) for shard in shards]
         pids = {r[2] for r in results}
-        assert len(pids) == processes and os.getpid() not in pids
+        assert len(pids) == processes and os.getpid() in pids
+
+
+def test_the_caller_is_one_of_the_processes(monkeypatch, no_child_left):
+    # the calling process runs shards, so it forks one child fewer than
+    # the processes, and none when one process runs them all
+    _allow_cpus(monkeypatch, 3)
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for processes in (1, 2, 3):
+        forks.clear()
+        results = _run_shards(lambda args: args, (), list(range(8)), processes)
+        assert results == [([u],) for u in range(8)]
+        assert len(forks) == processes - 1
 
 
 def test_forked_shard_result_larger_than_a_pipe_buffer(monkeypatch, no_child_left):
@@ -569,6 +589,36 @@ def test_a_failed_shard_stops_the_other_processes(monkeypatch, tmp_path, no_chil
         assert len(ran.read_bytes()) <= processes - 1
 
 
+@pytest.mark.parametrize("failing", ["caller", "child"])
+def test_a_failed_shard_in_one_process_stops_the_others(monkeypatch, tmp_path, failing, no_child_left):
+    # each shard that the caller runs fails, or each one that a child
+    # runs; the failing process takes the shards left before the caller
+    # waits for the children, so each other process runs at most the one
+    # it holds
+    failed, ran = tmp_path / "failed", tmp_path / "ran"
+    parent = os.getpid()
+
+    def worker(args):
+        (shard,) = args
+        if (os.getpid() == parent) == (failing == "caller"):
+            failed.touch()
+            raise KTooLarge(f"shard {shard} in the {failing}")
+        with open(ran, "ab") as log:
+            log.write(b".")
+        deadline = time.monotonic() + 10
+        while not failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.2)
+
+    for processes in (2, 3):
+        _allow_cpus(monkeypatch, processes)
+        ran.write_bytes(b"")
+        failed.unlink(missing_ok=True)
+        with pytest.raises(KTooLarge, match=f"in the {failing}"):
+            _run_shards(worker, (), list(range(32)), processes)
+        assert len(ran.read_bytes()) <= processes - 1
+
+
 def test_memory_error_in_a_forked_shard_exits_4(monkeypatch, tmp_path, capsys, no_child_left):
     _allow_cpus(monkeypatch, 2)
     monkeypatch.chdir(tmp_path)
@@ -583,18 +633,26 @@ def test_memory_error_in_a_forked_shard_exits_4(monkeypatch, tmp_path, capsys, n
 
 
 def test_a_shard_process_that_ends_without_a_result(monkeypatch, tmp_path, capsys, no_child_left):
-    # as a child killed by the system does: exit 4 with one line, no traceback
+    # as a child killed by the system does: exit 4 with one line, no
+    # traceback. The caller's shards return an empty result, and its first
+    # one waits until the child has taken a shard
     _allow_cpus(monkeypatch, 2)
     monkeypatch.chdir(tmp_path)
     parent = os.getpid()
+    lost = tmp_path / "lost"
 
     def vanish(args):
-        if os.getpid() == parent:
-            raise AssertionError("the shard ran in the parent")
-        os._exit(1)
+        if os.getpid() != parent:
+            lost.touch()
+            os._exit(1)
+        deadline = time.monotonic() + 10
+        while not lost.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return 0, []
 
     with pytest.raises(ShardLost):
         _run_shards(vanish, (), list(range(8)), 2)
+    lost.unlink()
     monkeypatch.setattr(sweep, "_extremal_shard", vanish)
     assert cli.main(["verify", "main", "-p", "13", "-k", "7", "--workers", "2"]) == cli.EXIT_GUARD
     assert capsys.readouterr().err == "guard: a sweep process ended without sending its results\n"
